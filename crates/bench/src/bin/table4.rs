@@ -1,8 +1,8 @@
 //! Reproduces paper Table IV: average optimizer run times on 10-pin and
 //! 20-pin nets (the paper reports CPU seconds on a Sun SPARC 10; the
 //! claim is tractability, which we reproduce on modern hardware —
-//! `cargo bench -p msrnet-bench` gives Criterion-grade numbers for the
-//! same workload).
+//! `msrbench --workload table4` times the same regime with quartiles,
+//! pinned frontiers and per-layer counters).
 //!
 //! Run with: `cargo run --release -p msrnet-bench --bin table4`
 

@@ -2,11 +2,9 @@
 //! evaluation (§VI).
 //!
 //! Each binary in `src/bin/` prints one table or figure; this library
-//! holds the experiment logic so the micro-benchmarks and the binaries
-//! measure exactly the same computations. See `EXPERIMENTS.md` at the
-//! repository root for the paper-vs-measured record.
-
-pub mod timing;
+//! holds the experiment logic they share. Timed, regression-checked
+//! runs live in `msrbench/`. See `EXPERIMENTS.md` at the repository
+//! root for the paper-vs-measured record.
 
 use std::time::{Duration, Instant};
 

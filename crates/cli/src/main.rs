@@ -201,16 +201,13 @@ fn cmd_ard(args: &[&String]) -> Result<(), String> {
 fn parse_list(raw: &str, flag: &str) -> Result<Vec<f64>, String> {
     raw.split(',')
         .map(|v| {
-            v.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("--{flag}: invalid number `{v}`"))
-                .and_then(|x| {
-                    if x > 0.0 {
-                        Ok(x)
-                    } else {
-                        Err(format!("--{flag}: values must be positive"))
-                    }
-                })
+            parse_finite(flag, v.trim()).and_then(|x| {
+                if x > 0.0 {
+                    Ok(x)
+                } else {
+                    Err(format!("--{flag}: values must be positive"))
+                }
+            })
         })
         .collect()
 }

@@ -138,6 +138,41 @@ fn optimize_with_sizing_flags() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `args`, expecting exit code 1 with `--{flag}` named on stderr.
+fn assert_flag_rejected(args: &[&str], flag: &str) {
+    let out = bin().args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains(&format!("--{flag}")), "{args:?}: {stderr}");
+}
+
+#[test]
+fn widths_list_rejects_non_finite_values() {
+    let dir = tmpdir("widths-finite");
+    let net = dir.join("net.msr");
+    let trace = dir.join("trace.json");
+    run_ok(bin().args([
+        "gen", "--terminals", "4", "--seed", "1", "-o", net.to_str().expect("utf8"),
+    ]));
+    let edit = r#"{"edits": [{"op": "set_arrival", "terminal": 1, "value": 40}]}"#;
+    std::fs::write(&trace, edit).expect("write trace");
+    let (net, trace) = (net.to_str().expect("utf8"), trace.to_str().expect("utf8"));
+    assert_flag_rejected(&["optimize", net, "--widths", "1,inf"], "widths");
+    assert_flag_rejected(&["edits", net, "--trace", trace, "--widths", "1,1e309"], "widths");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sizes_list_rejects_non_finite_values() {
+    let dir = tmpdir("sizes-finite");
+    let net = dir.join("net.msr");
+    run_ok(bin().args([
+        "gen", "--terminals", "4", "--seed", "1", "-o", net.to_str().expect("utf8"),
+    ]));
+    assert_flag_rejected(&["optimize", net.to_str().expect("utf8"), "--sizes", "1,inf"], "sizes");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pruning_flag_is_validated_on_every_entry_point() {
     let dir = tmpdir("pruning-flag");

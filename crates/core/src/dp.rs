@@ -89,7 +89,7 @@ enum TraceNode {
     Empty,
 }
 
-/// Counters describing one optimizer run — used by the ablation benches
+/// Counters describing one optimizer run — used by the ablation binary
 /// to compare pruning strategies and surfaced as `msrnet-cli optimize
 /// --stats` JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -225,18 +225,16 @@ struct Champion {
 
 /// Pre-computed library envelope for predictive (bound-before-
 /// materialize) pruning, in the spirit of Li & Shi's O(bn²) buffer
-/// insertion: the repeater (repeater, orientation) combinations ordered
-/// by upstream drive strength once per solver run, plus per-dimension
-/// optimistic minima over the whole library. At an insertion point the
-/// "strongest remaining repeater" bound for a not-yet-enumerated
-/// candidate collapses to these envelope minima, giving O(1) floors for
-/// every dimension of any extension the candidate could produce.
+/// insertion: the number of (repeater, orientation) combinations plus
+/// per-dimension optimistic minima over the whole library, computed once
+/// per solver run. At an insertion point these minima give O(1) floors
+/// for every dimension of any extension a not-yet-enumerated candidate
+/// could produce, whichever repeater it is extended with.
 #[derive(Clone, Debug)]
 struct LibPrebounds {
-    /// `(library index, orientation)` pairs sorted by ascending upstream
-    /// output resistance (strongest driver first), ties broken by
-    /// library order for determinism.
-    drive_order: Vec<(usize, Orientation)>,
+    /// Number of `(repeater, orientation)` combinations an insertion
+    /// point fans a candidate out to.
+    combos: usize,
     /// Minimum repeater cost.
     min_cost: f64,
     /// Minimum parent-side input capacitance.
@@ -276,9 +274,8 @@ struct RepChampion {
 
 impl LibPrebounds {
     fn new(library: &[Repeater]) -> Self {
-        let mut drive_order = Vec::new();
         let mut env = LibPrebounds {
-            drive_order: Vec::new(),
+            combos: 0,
             min_cost: f64::INFINITY,
             min_cap_parent: f64::INFINITY,
             min_down_intrinsic: f64::INFINITY,
@@ -302,7 +299,7 @@ impl LibPrebounds {
                 env.min_down_res = env.min_down_res.min(down.out_res);
                 env.min_up_intrinsic = env.min_up_intrinsic.min(up.intrinsic);
                 env.min_up_res = env.min_up_res.min(up.out_res);
-                drive_order.push((ri, o));
+                env.combos += 1;
             }
             env.uniform_inverting = match env.uniform_inverting {
                 None if ri == 0 => Some(rep.inverting),
@@ -310,19 +307,7 @@ impl LibPrebounds {
                 _ => None,
             };
         }
-        drive_order.sort_by(|a, b| {
-            let ra = library[a.0].upstream_drive(a.1).out_res; // msrnet-allow: panic drive_order enumerates this library's indices
-            let rb = library[b.0].upstream_drive(b.1).out_res;
-            ra.total_cmp(&rb)
-        });
-        env.drive_order = drive_order;
         env
-    }
-
-    /// Number of `(repeater, orientation)` combinations an insertion
-    /// point fans a candidate out to.
-    fn combos(&self) -> usize {
-        self.drive_order.len()
     }
 }
 
@@ -869,6 +854,10 @@ fn cap_bound(
 /// of materializing whole products.
 const BLOCK_LIMIT: usize = 8192;
 
+/// Subproblem size below which divide-and-conquer MFS switches to the
+/// pairwise method.
+const MFS_LEAF_THRESHOLD: usize = 8;
+
 struct Solver<'a> {
     net: &'a Net,
     rooted: &'a Rooted,
@@ -1407,12 +1396,12 @@ impl Solver<'_> {
         // buffered candidates act as champions; prospective extensions
         // whose exact line endpoints they dominate are rejected *before*
         // any PWL is built or trace pushed, and whole per-candidate
-        // fan-outs are skipped when the drive-strength envelope floors —
-        // the best any remaining repeater could possibly achieve for
-        // this candidate — are already dominated.
-        let predictive = self.options.predictive && self.prebounds.combos() > 0;
+        // fan-outs are skipped when the library envelope floors — the
+        // best any repeater could possibly achieve for this candidate —
+        // are already dominated.
+        let predictive = self.options.predictive && self.prebounds.combos > 0;
         let slack = self.options.prebound_slack;
-        let combos = self.prebounds.combos() as u64;
+        let combos = self.prebounds.combos as u64;
         let env_min_cost = self.prebounds.min_cost;
         let env_min_cap = self.prebounds.min_cap_parent;
         let env_min_down_int = self.prebounds.min_down_intrinsic;
@@ -1722,10 +1711,7 @@ impl Solver<'_> {
     /// full PWL comparisons).
     fn prune_class(&mut self, set: Vec<Cand>) -> (Vec<Cand>, u64) {
         match self.options.pruning {
-            PruningStrategy::DivideConquer => (
-                mfs_divide_conquer(set, self.options.mfs_leaf_threshold),
-                0,
-            ),
+            PruningStrategy::DivideConquer => (mfs_divide_conquer(set, MFS_LEAF_THRESHOLD), 0),
             PruningStrategy::Naive => (mfs_naive(set), 0),
             PruningStrategy::Bucketed => {
                 let (kept, counts) = mfs_sorted_sweep_with(set, 0.0, &mut |s, v, relaxed| {
@@ -2295,17 +2281,13 @@ mod tests {
         let pb = LibPrebounds::new(&library);
         // 3 symmetric repeaters contribute 1 combo each, the asymmetric
         // one contributes both orientations.
-        assert_eq!(pb.combos(), 5);
-        assert_eq!(pb.drive_order.len(), 5);
+        assert_eq!(pb.combos, 5);
         assert_eq!(pb.uniform_inverting, Some(false));
         // Envelope minima match the cheapest/strongest entries.
         assert_eq!(pb.min_cost, 2.0); // r1 = two 1X buffers
         assert_eq!(pb.min_cap_parent, 0.4);
         assert_eq!(pb.min_down_res, 1.5);
         assert_eq!(pb.min_up_res, 1.5);
-        // Strongest drive (lowest upstream out_res) sorts first.
-        let (ri, o) = pb.drive_order[0];
-        assert_eq!(library[ri].upstream_drive(o).out_res, 1.5);
         // Mixed inverting flags disable the uniform fan-out skip.
         let mut mixed = rich_library();
         mixed.push(

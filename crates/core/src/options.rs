@@ -329,20 +329,17 @@ impl fmt::Display for PruningStrategy {
 pub struct MsriOptions {
     /// Pruning strategy between DP steps.
     pub pruning: PruningStrategy,
-    /// Subproblem size below which divide-and-conquer MFS switches to the
-    /// pairwise method.
-    pub mfs_leaf_threshold: usize,
     /// Allow signal-inverting repeaters (paper §V extension). When any
     /// library repeater is marked inverting, candidates track signal
     /// parity and the root enforces non-inverted end-to-end polarity.
     pub allow_inverting: bool,
     /// Predictive pruning (Li & Shi style): reject candidates *before*
     /// the join product and repeater extension steps materialize them,
-    /// using drive-strength-ordered library pre-bounds. Exact — rejected
-    /// candidates are whole-domain-dominated by already-materialized
-    /// ones, so every exact strategy's frontier is bit-identical with
-    /// this on or off. Default on; the off switch exists for the
-    /// soundness property tests and the ablation bench.
+    /// using library-envelope pre-bounds. Exact — rejected candidates
+    /// are whole-domain-dominated by already-materialized ones, so every
+    /// exact strategy's frontier is bit-identical with this on or off.
+    /// Default on; the off switch exists for the soundness property
+    /// tests and the ablation bench.
     pub predictive: bool,
     /// Additive slack subtracted from every predictive pre-bound
     /// comparison. **Must be 0.0 for sound results.** A positive value
@@ -357,7 +354,6 @@ impl Default for MsriOptions {
     fn default() -> Self {
         MsriOptions {
             pruning: PruningStrategy::DivideConquer,
-            mfs_leaf_threshold: 8,
             allow_inverting: false,
             predictive: true,
             prebound_slack: 0.0,
@@ -470,7 +466,6 @@ mod tests {
     fn default_options_use_divide_and_conquer() {
         let o = MsriOptions::default();
         assert_eq!(o.pruning, PruningStrategy::DivideConquer);
-        assert!(o.mfs_leaf_threshold >= 2);
         assert!(!o.allow_inverting);
         assert!(o.predictive);
         assert_eq!(o.prebound_slack, 0.0);
