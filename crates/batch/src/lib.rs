@@ -50,10 +50,9 @@ use std::time::{Duration, Instant};
 
 use msrnet_core::ard::ard_linear;
 use msrnet_core::{
-    optimize_in, required_cap_bound, MsriOptions, MsriWorkspace, TerminalOptions, TradeoffCurve,
-    WireOption,
+    optimize_in, MsriError, MsriOptions, MsriWorkspace, TerminalOptions, TradeoffCurve,
 };
-use msrnet_incremental::{random_trace, IncrementalOptimizer};
+use msrnet_incremental::json::{json_num, json_str};
 use msrnet_netgen::{ExperimentNet, TechParams};
 use msrnet_rctree::{Assignment, Net, Repeater, TerminalId};
 use msrnet_rng::rngs::StdRng;
@@ -171,41 +170,13 @@ pub fn reports_bit_identical(a: &BatchReport, b: &BatchReport) -> bool {
 /// every `threads` value.
 pub fn run_batch(jobs: &[BatchJob], threads: usize) -> BatchReport {
     let threads = threads.max(1);
-    let workers = threads.min(jobs.len()).max(1);
     // msrnet-allow: wall-clock elapsed-time report field only; never feeds optimization results
     let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<NetResult>> = (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = MsriWorkspace::new();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        local.push((i, process(job, &mut ws)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // msrnet-allow: panic a worker panic is already fatal; re-raising it on join is the intended behaviour
-            for (i, r) in h.join().expect("batch workers do not panic") {
-                slots[i] = Some(r);
-            }
-        }
-    });
+    let results = run_pool(jobs, threads, process);
     BatchReport {
         threads,
         wall: start.elapsed(),
-        results: slots
-            .into_iter()
-            // msrnet-allow: panic the atomic queue hands every index to exactly one worker
-            .map(|s| s.expect("every job index is claimed exactly once"))
-            .collect(),
+        results,
     }
 }
 
@@ -217,15 +188,7 @@ fn process(job: &BatchJob, ws: &mut MsriWorkspace) -> NetResult {
         let rooted = job.net.rooted_at_terminal(job.root);
         let empty = Assignment::empty(job.net.topology.vertex_count());
         let bare = ard_linear(&job.net, &rooted, &job.library, &empty);
-        let curve = optimize_in(
-            &job.net,
-            job.root,
-            &job.library,
-            &job.drivers,
-            &job.options,
-            ws,
-        )
-        .map_err(|e| e.to_string())?;
+        let curve = solve(job, ws).map_err(|e| e.to_string())?;
         let cheapest = curve.min_cost();
         let fastest = curve.best_ard();
         Ok(NetSummary {
@@ -260,10 +223,22 @@ pub fn run_batch_curves(
     jobs: &[BatchJob],
     threads: usize,
 ) -> Vec<Result<TradeoffCurve, String>> {
+    run_pool(jobs, threads, |job, ws| solve(job, ws).map_err(|e| e.to_string()))
+}
+
+/// The worker pool behind [`run_batch`] and [`run_batch_curves`]:
+/// `min(threads, jobs)` scoped workers (at least one) claim job indices
+/// from a shared atomic counter, each reusing one [`MsriWorkspace`]
+/// across the nets it claims, and results are stored by job index so
+/// their order does not depend on scheduling.
+fn run_pool<R: Send>(
+    jobs: &[BatchJob],
+    threads: usize,
+    work: impl Fn(&BatchJob, &mut MsriWorkspace) -> R + Sync,
+) -> Vec<R> {
     let workers = threads.max(1).min(jobs.len()).max(1);
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<TradeoffCurve, String>>> =
-        (0..jobs.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -273,16 +248,7 @@ pub fn run_batch_curves(
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(i) else { break };
-                        let curve = optimize_in(
-                            &job.net,
-                            job.root,
-                            &job.library,
-                            &job.drivers,
-                            &job.options,
-                            &mut ws,
-                        )
-                        .map_err(|e| e.to_string());
-                        local.push((i, curve));
+                        local.push((i, work(job, &mut ws)));
                     }
                     local
                 })
@@ -300,6 +266,18 @@ pub fn run_batch_curves(
         // msrnet-allow: panic the atomic queue hands every index to exactly one worker
         .map(|s| s.expect("every job index is claimed exactly once"))
         .collect()
+}
+
+/// Solves one job's MSRI DP in a reused workspace.
+fn solve(job: &BatchJob, ws: &mut MsriWorkspace) -> Result<TradeoffCurve, MsriError> {
+    optimize_in(
+        &job.net,
+        job.root,
+        &job.library,
+        &job.drivers,
+        &job.options,
+        ws,
+    )
 }
 
 /// Builds `count` jobs over seeded random experiment nets (the paper's
@@ -335,230 +313,6 @@ pub fn random_jobs(
         seed += 1;
     }
     jobs
-}
-
-// ---------------------------------------------------------------------
-// Incremental edit replay
-// ---------------------------------------------------------------------
-
-/// Per-net outcome of an incremental edit-replay sweep: every recompute
-/// is cross-checked bit-for-bit against a from-scratch re-solve, and the
-/// engine's node-visit counters are accumulated so callers can assert
-/// that edits really did recompute only dirty-path nodes.
-#[derive(Clone, Debug)]
-pub struct ReplayResult {
-    /// The job's label.
-    pub name: String,
-    /// Edits that passed validation and were replayed.
-    pub edits_applied: usize,
-    /// Edits rejected by the typed edit API.
-    pub edits_rejected: usize,
-    /// Recomputes whose curve (or error) differed from the scratch
-    /// oracle — always zero unless the engine is broken.
-    pub mismatches: usize,
-    /// Total nodes walked by incremental recomputes.
-    pub nodes_visited: u64,
-    /// Nodes whose candidate sets were rebuilt incrementally.
-    pub nodes_recomputed: u64,
-    /// Nodes a from-scratch replay of the same recomputes rebuilt.
-    pub scratch_recomputed: u64,
-    /// Domain-bound escalations triggered during the replay.
-    pub escalations: u64,
-    /// Session-level error (degenerate configuration), if any.
-    pub error: Option<String>,
-    /// Per-net wall time, µs (not part of the determinism contract).
-    pub micros: u64,
-}
-
-/// Aggregate output of [`run_batch_incremental`].
-#[derive(Clone, Debug)]
-pub struct ReplayReport {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Edits replayed per net.
-    pub edits_per_net: usize,
-    /// End-to-end wall time of the sweep.
-    pub wall: Duration,
-    /// Per-net results, in job order regardless of scheduling.
-    pub results: Vec<ReplayResult>,
-}
-
-impl ReplayReport {
-    /// Total incremental-vs-scratch mismatches across the sweep.
-    pub fn mismatches(&self) -> usize {
-        self.results.iter().map(|r| r.mismatches).sum()
-    }
-
-    /// Serializes the report as pretty-printed JSON (schema mirrors
-    /// [`BatchReport::to_json`], `"benchmark": "msrnet_batch_edits"`).
-    pub fn to_json(&self) -> String {
-        let wall_ms = self.wall.as_secs_f64() * 1e3;
-        let mut out = String::with_capacity(256 + 192 * self.results.len());
-        out.push_str("{\n");
-        out.push_str("  \"benchmark\": \"msrnet_batch_edits\",\n");
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"edits_per_net\": {},\n", self.edits_per_net));
-        out.push_str(&format!("  \"nets\": {},\n", self.results.len()));
-        out.push_str(&format!("  \"mismatches\": {},\n", self.mismatches()));
-        out.push_str(&format!("  \"wall_ms\": {},\n", json_num(wall_ms)));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": {}, ", json_str(&r.name)));
-            out.push_str(&format!("\"edits_applied\": {}, ", r.edits_applied));
-            out.push_str(&format!("\"edits_rejected\": {}, ", r.edits_rejected));
-            out.push_str(&format!("\"mismatches\": {}, ", r.mismatches));
-            out.push_str(&format!("\"nodes_visited\": {}, ", r.nodes_visited));
-            out.push_str(&format!("\"nodes_recomputed\": {}, ", r.nodes_recomputed));
-            out.push_str(&format!("\"scratch_recomputed\": {}, ", r.scratch_recomputed));
-            out.push_str(&format!("\"escalations\": {}, ", r.escalations));
-            out.push_str(&format!("\"micros\": {}, ", r.micros));
-            match &r.error {
-                Some(e) => out.push_str(&format!("\"error\": {}", json_str(e))),
-                None => out.push_str("\"error\": null"),
-            }
-            out.push('}');
-            if i + 1 < self.results.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Replays a seeded random edit trace on every job through an
-/// [`IncrementalOptimizer`] session, cross-checking each dirty-path
-/// recompute against a from-scratch re-solve (bit-identical or it counts
-/// as a mismatch). Uses the same claim-by-atomic worker pool as
-/// [`run_batch`], so results are in job order for every thread count.
-pub fn run_batch_incremental(
-    jobs: &[BatchJob],
-    threads: usize,
-    edits_per_net: usize,
-    seed: u64,
-) -> ReplayReport {
-    let threads = threads.max(1);
-    let workers = threads.min(jobs.len()).max(1);
-    // msrnet-allow: wall-clock elapsed-time report field only; never feeds optimization results
-    let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<ReplayResult>> = (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let job_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        local.push((i, replay(job, edits_per_net, job_seed)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // msrnet-allow: panic a worker panic is already fatal; re-raising it on join is the intended behaviour
-            for (i, r) in h.join().expect("replay workers do not panic") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    ReplayReport {
-        threads,
-        edits_per_net,
-        wall: start.elapsed(),
-        results: slots
-            .into_iter()
-            // msrnet-allow: panic the atomic queue hands every index to exactly one worker
-            .map(|s| s.expect("every job index is claimed exactly once"))
-            .collect(),
-    }
-}
-
-/// Bit-level equality of two trade-off curves (values and realizations).
-fn curves_bit_identical(a: &TradeoffCurve, b: &TradeoffCurve) -> bool {
-    a.len() == b.len()
-        && a.points().iter().zip(b.points()).all(|(pa, pb)| {
-            pa.cost.to_bits() == pb.cost.to_bits()
-                && pa.ard.to_bits() == pb.ard.to_bits()
-                && pa.assignment == pb.assignment
-                && pa.terminal_choices == pb.terminal_choices
-                && pa.wire_choices == pb.wire_choices
-        })
-}
-
-/// Replays one job's seeded edit trace against the scratch oracle.
-fn replay(job: &BatchJob, edits_per_net: usize, seed: u64) -> ReplayResult {
-    // msrnet-allow: wall-clock per-net elapsed-ms stat only; never feeds optimization results
-    let t = Instant::now();
-    let mut result = ReplayResult {
-        name: job.name.clone(),
-        edits_applied: 0,
-        edits_rejected: 0,
-        mismatches: 0,
-        nodes_visited: 0,
-        nodes_recomputed: 0,
-        scratch_recomputed: 0,
-        escalations: 0,
-        error: None,
-        micros: 0,
-    };
-    let bound = required_cap_bound(
-        &job.net,
-        &job.library,
-        &job.drivers,
-        &[WireOption::unit()],
-    );
-    if !bound.is_finite() || bound <= 0.0 {
-        result.error = Some(format!("degenerate cap bound {bound}"));
-        result.micros = t.elapsed().as_micros() as u64;
-        return result;
-    }
-    let trace = random_trace(&job.net, seed, edits_per_net);
-    let mut session = IncrementalOptimizer::new(
-        job.net.clone(),
-        job.root,
-        job.library.clone(),
-        job.drivers.clone(),
-        vec![WireOption::unit()],
-        job.options,
-    );
-    // Step 0 is the initial all-dirty compute; each applied edit then
-    // compares its dirty-path recompute against the scratch oracle.
-    for step in 0..=trace.len() {
-        if step > 0 {
-            if session.apply(&trace[step - 1]).is_err() {
-                result.edits_rejected += 1;
-                continue;
-            }
-            result.edits_applied += 1;
-        }
-        let inc = session.recompute();
-        let scratch = session.from_scratch();
-        match (inc, scratch) {
-            (Ok((a, sa)), Ok((b, sb))) => {
-                result.nodes_visited += sa.nodes_visited as u64;
-                result.nodes_recomputed += sa.nodes_recomputed as u64;
-                result.scratch_recomputed += sb.nodes_recomputed as u64;
-                if !curves_bit_identical(&a, &b) {
-                    result.mismatches += 1;
-                }
-            }
-            (Err(a), Err(b)) => {
-                if a != b {
-                    result.mismatches += 1;
-                }
-            }
-            _ => result.mismatches += 1,
-        }
-    }
-    result.escalations = session.escalations();
-    result.micros = t.elapsed().as_micros() as u64;
-    result
 }
 
 // ---------------------------------------------------------------------
@@ -667,75 +421,16 @@ impl BatchReport {
     }
 }
 
-/// A finite float as JSON, non-finite as `null`.
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use msrnet_netgen::table1;
 
     #[test]
-    fn json_escaping_and_nulls() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_num(f64::NEG_INFINITY), "null");
-        assert_eq!(json_num(1.5), "1.5");
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let report = run_batch(&[], 4);
         assert!(report.results.is_empty());
         assert!(report.to_json().contains("\"nets\": 0"));
-    }
-
-    #[test]
-    fn edit_replay_is_clean_and_scheduling_invariant() {
-        // Coarse insertion spacing keeps the per-edit debug-mode solves
-        // cheap; 3 nets × (1 initial + 4 edits) is still ~30 DP runs.
-        let jobs = random_jobs(&table1(), 3, 5, 21, 4000.0);
-        let par = run_batch_incremental(&jobs, 2, 4, 9);
-        assert_eq!(par.mismatches(), 0, "incremental diverged from scratch");
-        for r in &par.results {
-            assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
-            assert!(r.nodes_recomputed <= r.scratch_recomputed);
-        }
-        let seq = run_batch_incremental(&jobs, 1, 4, 9);
-        for (a, b) in par.results.iter().zip(&seq.results) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.edits_applied, b.edits_applied);
-            assert_eq!(a.nodes_recomputed, b.nodes_recomputed);
-            assert_eq!(a.escalations, b.escalations);
-        }
-        let json = par.to_json();
-        assert!(json.contains("\"benchmark\": \"msrnet_batch_edits\""));
-        assert!(json.contains("\"mismatches\": 0"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! * divide-and-conquer MFS (paper Fig. 4, the default),
 //! * naive pairwise MFS (same result, more comparisons),
-//! * cost-bucketed sorted-sweep MFS (same result, scalar prefilters),
+//! * cost-sorted sweep MFS at eps = 0 (same result, scalar prefilters),
 //! * whole-domain-only dominance (no partial-region invalidation —
 //!   quantifies the value of *functional* pruning),
 //! * approximate sweep at eps = 0.01 (relaxed dominance; frontier within
@@ -13,7 +13,7 @@
 //! the ablation on the asymmetric multi-cost library — the
 //! Pareto-explosion regime where distinct cost denominations keep joins
 //! from merging cost classes — which is where the join cutoffs and the
-//! bucketed sweep earn their keep. The third section ablates the
+//! sorted sweep earn their keep. The third section ablates the
 //! *predictive* pre-bounds (Li–Shi bound-before-materialize) against
 //! block pruning alone: same frontier bits, fewer candidates ever built.
 //!
@@ -28,7 +28,7 @@ use msrnet_netgen::{table1, TechParams};
 const STRATEGIES: [(&str, PruningStrategy); 5] = [
     ("divide-conquer", PruningStrategy::DivideConquer),
     ("naive pairwise", PruningStrategy::Naive),
-    ("bucketed sweep", PruningStrategy::Bucketed),
+    ("approx eps=0", PruningStrategy::Approximate { eps: 0.0 }),
     ("whole-domain only", PruningStrategy::WholeDomainOnly),
     ("approx eps=0.01", PruningStrategy::Approximate { eps: 0.01 }),
 ];
@@ -247,6 +247,6 @@ fn main() {
     println!("alive (larger sets, slower); functional region-wise pruning is what");
     println!("makes the PWL characterization practical (paper §IV-D). In the");
     println!("multi-cost regime the join cutoffs (counted under scalar-prn) kill");
-    println!("hopeless products before materialization; the bucketed sweep prunes");
+    println!("hopeless products before materialization; the eps = 0 sorted sweep prunes");
     println!("the same frontier as divide-and-conquer, well ahead of naive pairwise.");
 }

@@ -24,6 +24,7 @@ use msrnet_core::{
     optimize, optimize_with_wires, MsriOptions, PruningStrategy, StepStats, TerminalOption,
     TerminalOptions, TradeoffCurve, WireOption,
 };
+use msrnet_incremental::json::{json_num, json_str};
 use msrnet_netgen::{table1, ExperimentNet};
 use msrnet_rctree::{Assignment, TerminalId};
 use msrnet_rng::SeedableRng;
@@ -47,11 +48,11 @@ const USAGE: &str = "usage:
   msrnet-cli ard FILE [--root T]
   msrnet-cli optimize FILE [--root T] [--spec PS] [--driver-cost C]
                        [--sizes 1,2,4] [--widths 1,2,4 [--width-cost C/um]]
-                       [--pruning divide-conquer|naive|bucketed|whole-domain|approx:EPS]
+                       [--pruning divide-conquer|naive|whole-domain|approx:EPS]
                        [--stats]
   msrnet-cli batch [FILES...] [--count N --terminals T --seed S [--spacing UM]]
-                       [--threads K] [--driver-cost C] [--incremental E]
-                       [--pruning STRATEGY] [--no-timing] [-o FILE.json]
+                       [--threads K] [--driver-cost C] [--pruning STRATEGY]
+                       [--no-timing] [-o FILE.json]
   msrnet-cli edits FILE --trace EDITS.json [--root T] [--driver-cost C]
                        [--widths 1,2,4 [--width-cost C/um]]
                        [--pruning STRATEGY] [--timing] [-o FILE.json]
@@ -367,7 +368,7 @@ fn cmd_optimize(args: &[&String]) -> Result<(), String> {
 }
 
 fn cmd_batch(args: &[&String]) -> Result<(), String> {
-    use msrnet_batch::{random_jobs, run_batch, run_batch_incremental, BatchJob};
+    use msrnet_batch::{random_jobs, run_batch, BatchJob};
     let f = Flags::parse(args, &["no-timing"])?;
     f.reject_unknown(&[
         "threads",
@@ -376,7 +377,6 @@ fn cmd_batch(args: &[&String]) -> Result<(), String> {
         "terminals",
         "seed",
         "spacing",
-        "incremental",
         "pruning",
         "o",
     ])?;
@@ -411,39 +411,6 @@ fn cmd_batch(args: &[&String]) -> Result<(), String> {
     }
     if jobs.is_empty() {
         return Err("no nets to optimize: pass FILE arguments or --count N".into());
-    }
-    // --incremental E: instead of one solve per net, replay E seeded
-    // random edits through an incremental session per net, each
-    // recompute cross-checked against a from-scratch oracle.
-    let edits_per_net = f.get_num("incremental", 0.0)? as usize;
-    if edits_per_net > 0 {
-        let seed = f.get_num("seed", 1.0)? as u64;
-        let report = run_batch_incremental(&jobs, threads, edits_per_net, seed);
-        let visited: u64 = report.results.iter().map(|r| r.nodes_visited).sum();
-        let recomputed: u64 = report.results.iter().map(|r| r.nodes_recomputed).sum();
-        let scratch: u64 = report.results.iter().map(|r| r.scratch_recomputed).sum();
-        eprintln!(
-            "replayed {edits_per_net} edits on {} nets ({} mismatches); \
-             rebuilt {recomputed}/{visited} visited nodes (scratch would rebuild {scratch})",
-            report.results.len(),
-            report.mismatches(),
-        );
-        let json = report.to_json();
-        match f.get("o") {
-            Some(out) => {
-                std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-                eprintln!("wrote {out}");
-            }
-            None => print!("{json}"),
-        }
-        return if report.mismatches() == 0 {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} incremental recompute(s) diverged from the from-scratch oracle",
-                report.mismatches()
-            ))
-        };
     }
     let report = run_batch(&jobs, threads);
     let failed = report.results.iter().filter(|r| r.outcome.is_err()).count();
@@ -591,33 +558,28 @@ fn cmd_topology(args: &[&String]) -> Result<(), String> {
     let mut search = TopologySearch::new(session, objective, cfg);
     let out = search.run();
 
-    // A finite float as JSON, non-finite (infeasible score) as null.
-    let num = |x: f64| -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".into()
-        }
-    };
+    // Non-finite (infeasible) scores serialize as null.
     let json = format!(
-        "{{\n  \"benchmark\": \"msrnet_topology\",\n  \"net\": \"{path}\",\n  \
-         \"root\": {},\n  \"objective\": \"{objective}\",\n  \"seed\": {},\n  \
+        "{{\n  \"benchmark\": \"msrnet_topology\",\n  \"net\": {},\n  \
+         \"root\": {},\n  \"objective\": {},\n  \"seed\": {},\n  \
          \"rounds\": {},\n  \"rounds_run\": {},\n  \"improved\": {},\n  \
          \"initial\": {{\"score\": {}, \"wirelength\": {}, \"points\": {}}},\n  \
          \"final\": {{\"score\": {}, \"wirelength\": {}, \"points\": {}}},\n  \
          \"moves\": {{\"reattach_trials\": {}, \"reattach_accepted\": {}, \
          \"densify_trials\": {}, \"densify_accepted\": {}, \"rejected_edits\": {}}},\n  \
          \"trace\": {}\n}}\n",
+        json_str(path),
         root.0,
+        json_str(&objective.to_string()),
         cfg.seed,
         cfg.rounds,
         out.stats.rounds_run,
         out.improved(),
-        num(out.initial_score),
-        num(out.initial_wirelength),
+        json_num(out.initial_score),
+        json_num(out.initial_wirelength),
         out.initial_points,
-        num(out.final_score),
-        num(out.final_wirelength),
+        json_num(out.final_score),
+        json_num(out.final_wirelength),
         out.final_points,
         out.stats.reattach_trials,
         out.stats.reattach_accepted,
@@ -629,8 +591,8 @@ fn cmd_topology(args: &[&String]) -> Result<(), String> {
     eprintln!(
         "searched {} round(s): score {} -> {} ({}), {} edit(s) kept",
         out.stats.rounds_run,
-        num(out.initial_score),
-        num(out.final_score),
+        json_num(out.initial_score),
+        json_num(out.final_score),
         if out.improved() { "improved" } else { "unchanged" },
         out.edits.len(),
     );
@@ -701,23 +663,6 @@ fn cmd_serve(args: &[&String]) -> Result<(), String> {
     server.run(&stop).map_err(|e| e.to_string())
 }
 
-/// Minimal JSON string escaping for batch-spec assembly (the subset the
-/// in-workspace parser round-trips).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn cmd_client(args: &[&String]) -> Result<(), String> {
     use msrnet_service::client::Client;
 
@@ -778,8 +723,8 @@ fn cmd_client(args: &[&String]) -> Result<(), String> {
             let pruning = pruning_flag(&f)?.to_string();
             let mut spec = format!(
                 "{{\"threads\": {threads}, \"driver_cost\": {driver_cost}, \
-                 \"pruning\": \"{}\", \"nets\": [",
-                json_escape(&pruning)
+                 \"pruning\": {}, \"nets\": [",
+                json_str(&pruning)
             );
             for (i, path) in files.iter().enumerate() {
                 let msr = std::fs::read_to_string(path)
@@ -788,9 +733,9 @@ fn cmd_client(args: &[&String]) -> Result<(), String> {
                     spec.push_str(", ");
                 }
                 spec.push_str(&format!(
-                    "{{\"name\": \"{}\", \"msr\": \"{}\"}}",
-                    json_escape(path),
-                    json_escape(&msr)
+                    "{{\"name\": {}, \"msr\": {}}}",
+                    json_str(path),
+                    json_str(&msr)
                 ));
             }
             spec.push_str("]}");

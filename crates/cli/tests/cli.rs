@@ -194,7 +194,7 @@ fn pruning_flag_is_validated_on_every_entry_point() {
     assert!(stdout.contains("\"budget_factor\""), "stats JSON reports the budget");
     run_ok(bin().args([
         "batch", "--count", "1", "--terminals", "4", "--seed", "3",
-        "--pruning", "bucketed",
+        "--pruning", "approx:0",
     ]));
     run_ok(bin().args([
         "edits", net.to_str().expect("utf8"),

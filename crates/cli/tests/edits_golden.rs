@@ -15,6 +15,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use msrnet_incremental::json::{json_str, parse_json, Json};
+
 const GOLDEN: &str = include_str!("golden/edits-seed7.json");
 const TRACE: &str = include_str!("golden/edits-trace-seed7.json");
 
@@ -63,24 +65,35 @@ fn fixture(dir: &Path) -> (String, String) {
 fn edits_replay_matches_golden_output() {
     let dir = tmpdir("golden");
     let (net, trace) = fixture(&dir);
-    let out = bin()
-        .args(["edits", &net, "--trace", &trace])
-        .output()
-        .expect("spawn msrnet-cli edits");
-    assert!(
-        out.status.success(),
-        "edits failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let actual = String::from_utf8(out.stdout).expect("utf8 output");
-    // The report embeds the (temp-dir) net path; normalize it before
-    // comparing against the pinned file.
-    let actual = actual.replace(&format!("\"net\": \"{net}\""), "\"net\": \"net.msr\"");
-    assert_eq!(
-        actual, GOLDEN,
-        "edits replay diverged from the golden output; if intentional, \
-         regenerate crates/cli/tests/golden/edits-seed7.json (see module docs)"
-    );
+    // A quote and a backslash in the path must reach the report's
+    // "net" field escaped, and parse back to the path.
+    let odd = dir.join("my\"net\\.msr");
+    std::fs::copy(&net, &odd).expect("copy net");
+    for net in [net.as_str(), odd.to_str().expect("utf8")] {
+        let out = bin()
+            .args(["edits", net, "--trace", &trace])
+            .output()
+            .expect("spawn msrnet-cli edits");
+        assert!(
+            out.status.success(),
+            "edits failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let actual = String::from_utf8(out.stdout).expect("utf8 output");
+        let Ok(Json::Obj(fields)) = parse_json(&actual) else {
+            panic!("report is not a JSON object: {actual}")
+        };
+        assert_eq!(Json::get(&fields, "net"), Some(&Json::Str(net.to_string())));
+        // The report embeds the (temp-dir) net path; normalize it before
+        // comparing against the pinned file.
+        let actual =
+            actual.replace(&format!("\"net\": {}", json_str(net)), "\"net\": \"net.msr\"");
+        assert_eq!(
+            actual, GOLDEN,
+            "edits replay diverged from the golden output; if intentional, \
+             regenerate crates/cli/tests/golden/edits-seed7.json (see module docs)"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

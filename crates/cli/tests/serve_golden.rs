@@ -13,6 +13,8 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
+use msrnet_incremental::json::{json_str, parse_json, Json};
+
 const GOLDEN: &str = include_str!("golden/edits-seed7.json");
 const TRACE: &str = include_str!("golden/edits-trace-seed7.json");
 
@@ -105,39 +107,51 @@ impl Drop for ServeOnce {
 fn served_edits_round_trip_matches_golden_and_local() {
     let dir = tmpdir("edits");
     let (net, trace) = fixture(&dir);
+    // `client edits` names the session after the path it is given; a
+    // quote and a backslash in that name must reach the report's "net"
+    // field escaped, and parse back to the name.
+    std::fs::copy(&net, dir.join("a\"b\\c")).expect("copy net");
+    for name in [net.as_str(), "a\"b\\c"] {
+        let serve = ServeOnce::spawn();
+        let out = bin()
+            .current_dir(&dir)
+            .args(["client", "edits", name, "--trace", &trace, "--tcp", &serve.addr])
+            .output()
+            .expect("spawn msrnet-cli client");
+        assert!(
+            out.status.success(),
+            "client edits failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        serve.finish();
+        let served = String::from_utf8(out.stdout).expect("utf8 output");
 
-    let serve = ServeOnce::spawn();
-    let out = bin()
-        .args(["client", "edits", &net, "--trace", &trace, "--tcp", &serve.addr])
-        .output()
-        .expect("spawn msrnet-cli client");
-    assert!(
-        out.status.success(),
-        "client edits failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    serve.finish();
-    let served = String::from_utf8(out.stdout).expect("utf8 output");
+        // Byte-identical to the local subcommand on the same inputs...
+        let local = bin()
+            .current_dir(&dir)
+            .args(["edits", name, "--trace", &trace])
+            .output()
+            .expect("spawn msrnet-cli edits");
+        assert!(local.status.success());
+        assert_eq!(
+            served,
+            String::from_utf8(local.stdout).expect("utf8 output"),
+            "served edits diverged from the local `edits` subcommand"
+        );
+        let Ok(Json::Obj(fields)) = parse_json(&served) else {
+            panic!("served report is not a JSON object: {served}")
+        };
+        assert_eq!(Json::get(&fields, "net"), Some(&Json::Str(name.to_string())));
 
-    // Byte-identical to the local subcommand on the same inputs...
-    let local = bin()
-        .args(["edits", &net, "--trace", &trace])
-        .output()
-        .expect("spawn msrnet-cli edits");
-    assert!(local.status.success());
-    assert_eq!(
-        served,
-        String::from_utf8(local.stdout).expect("utf8 output"),
-        "served edits diverged from the local `edits` subcommand"
-    );
-
-    // ...and therefore to the pinned golden (shared with edits_golden).
-    let normalized = served.replace(&format!("\"net\": \"{net}\""), "\"net\": \"net.msr\"");
-    assert_eq!(
-        normalized, GOLDEN,
-        "served edits diverged from the golden output; if intentional, \
-         regenerate crates/cli/tests/golden/edits-seed7.json (see edits_golden.rs)"
-    );
+        // ...and therefore to the pinned golden (shared with edits_golden).
+        let normalized =
+            served.replace(&format!("\"net\": {}", json_str(name)), "\"net\": \"net.msr\"");
+        assert_eq!(
+            normalized, GOLDEN,
+            "served edits diverged from the golden output; if intentional, \
+             regenerate crates/cli/tests/golden/edits-seed7.json (see edits_golden.rs)"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

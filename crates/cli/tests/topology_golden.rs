@@ -14,6 +14,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use msrnet_incremental::json::{json_str, parse_json, Json};
+
 const GOLDEN: &str = include_str!("golden/topology-seed7.json");
 
 fn bin() -> Command {
@@ -61,24 +63,35 @@ fn run_topology(net: &str, extra: &[&str]) -> std::process::Output {
 fn topology_report_matches_golden_output() {
     let dir = tmpdir("golden");
     let net = fixture(&dir);
-    let out = run_topology(&net, &[]);
-    assert!(
-        out.status.success(),
-        "topology failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let actual = String::from_utf8(out.stdout).expect("utf8 output");
-    // The report embeds the (temp-dir) net path; normalize it before
-    // comparing against the pinned file.
-    let actual = actual.replace(&format!("\"net\": \"{net}\""), "\"net\": \"traw.msr\"");
-    assert_eq!(
-        actual, GOLDEN,
-        "topology search diverged from the golden output; if intentional, \
-         regenerate crates/cli/tests/golden/topology-seed7.json (see module docs)"
-    );
-    // The pinned instance must show a strict improvement: the search
-    // beat the initial Steiner route on its own scoring objective.
-    assert!(actual.contains("\"improved\": true"));
+    // A quote and a backslash in the path must reach the report's
+    // "net" field escaped, and parse back to the path.
+    let odd = dir.join("my\"net\\.msr");
+    std::fs::copy(&net, &odd).expect("copy net");
+    for net in [net.as_str(), odd.to_str().expect("utf8")] {
+        let out = run_topology(net, &[]);
+        assert!(
+            out.status.success(),
+            "topology failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let actual = String::from_utf8(out.stdout).expect("utf8 output");
+        let Ok(Json::Obj(fields)) = parse_json(&actual) else {
+            panic!("report is not a JSON object: {actual}")
+        };
+        assert_eq!(Json::get(&fields, "net"), Some(&Json::Str(net.to_string())));
+        // The report embeds the (temp-dir) net path; normalize it before
+        // comparing against the pinned file.
+        let actual =
+            actual.replace(&format!("\"net\": {}", json_str(net)), "\"net\": \"traw.msr\"");
+        assert_eq!(
+            actual, GOLDEN,
+            "topology search diverged from the golden output; if intentional, \
+             regenerate crates/cli/tests/golden/topology-seed7.json (see module docs)"
+        );
+        // The pinned instance must show a strict improvement: the search
+        // beat the initial Steiner route on its own scoring objective.
+        assert!(actual.contains("\"improved\": true"));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

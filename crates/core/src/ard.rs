@@ -127,7 +127,7 @@ pub fn ard_linear(
     assignment: &Assignment,
 ) -> ArdReport {
     let elmore = Elmore::new(net, rooted, library, assignment);
-    ard_linear_with(&elmore, net, rooted)
+    ard_linear_in(&elmore, net, rooted, &mut ArdWorkspace::new())
 }
 
 /// Reusable buffers for the per-subtree `a`/`s`/`D` sweep of
@@ -147,14 +147,10 @@ impl ArdWorkspace {
     }
 }
 
-/// Like [`ard_linear`], reusing an already-built [`Elmore`] engine.
-pub fn ard_linear_with(elmore: &Elmore<'_>, net: &Net, rooted: &Rooted) -> ArdReport {
-    ard_linear_in(elmore, net, rooted, &mut ArdWorkspace::new())
-}
-
-/// Re-entrant form of [`ard_linear_with`]: the `a`/`s`/`D` sweep runs in
-/// `workspace`'s buffers, making repeated queries allocation-free.
-/// Bit-identical to [`ard_linear`] (same traversal, same arithmetic).
+/// Like [`ard_linear`], reusing an already-built [`Elmore`] engine and
+/// running the `a`/`s`/`D` sweep in `workspace`'s buffers, so repeated
+/// queries allocate nothing. Bit-identical to [`ard_linear`] (same
+/// traversal, same arithmetic).
 pub fn ard_linear_in(
     elmore: &Elmore<'_>,
     net: &Net,

@@ -166,7 +166,7 @@ pub struct StepStats {
     /// Candidates eliminated by cheap scalar predicates: `JoinSets`'
     /// pre-materialization cutoffs (empty shifted domain, champion
     /// dominance) plus the sorted sweep's whole-domain summary kills
-    /// under the bucketed/approximate strategies.
+    /// under the `approx:EPS` strategies.
     pub scalar_pruned: u64,
     /// Candidates fully eliminated during pruning by exact PWL region
     /// comparisons (including any whose validity domain was already
@@ -178,11 +178,12 @@ pub struct StepStats {
     /// line is endpoint-dominated by an already-materialized champion.
     pub prebound_rejected: u64,
     /// Candidates skipped *wholesale* by a predictive pre-bound: whole
-    /// join rows and whole per-candidate repeater fan-outs whose
-    /// optimistic floors (strongest-remaining-repeater / sibling-set
-    /// envelope) are dominated by a champion. An upper bound on the
-    /// materializable candidates avoided — some members of a skipped
-    /// group would have failed cheaper tests anyway.
+    /// per-candidate repeater fan-outs whose optimistic floors
+    /// (strongest-remaining-repeater envelope) are dominated by a
+    /// champion. An upper bound on the materializable candidates
+    /// avoided — some members of a skipped group would have failed
+    /// cheaper tests anyway. Only the repeater step skips fan-outs, so
+    /// the other steps' rows stay zero.
     pub materialized_avoided: u64,
     /// Largest candidate set entering a prune of this step.
     pub peak_set: usize,
@@ -474,13 +475,10 @@ pub fn optimize_with_wires(
     )
 }
 
-/// Like [`optimize_with_wires`], reusing `workspace` scratch memory.
-/// Results are bit-identical to [`optimize_with_wires`].
-///
-/// # Errors
-///
-/// See [`MsriError`]; additionally `wire_options` must be non-empty.
-pub fn optimize_with_wires_in(
+/// Like [`optimize_with_wires`], reusing `workspace` scratch memory —
+/// the one solve path behind [`optimize_in`] and
+/// [`optimize_with_wires`].
+fn optimize_with_wires_in(
     net: &Net,
     root: TerminalId,
     library: &[Repeater],
@@ -690,12 +688,12 @@ pub fn required_cap_bound(
     cap_bound(net, library, term_opts, wire_options)
 }
 
-/// Like [`optimize_with_wires_in`], but reusing per-subtree candidate
-/// sets cached in `cache` from a previous call: a vertex is recomputed
-/// only when `dirty[v]` is set, its cache entry is missing, or one of
-/// its children was recomputed this call — so an edit whose dirty set is
-/// one leaf-to-root path costs `O(depth × frontier)` instead of a full
-/// re-run.
+/// Like [`optimize_with_wires`] in a reused `workspace`, but also
+/// reusing per-subtree candidate sets cached in `cache` from a previous
+/// call: a vertex is recomputed only when `dirty[v]` is set, its cache
+/// entry is missing, or one of its children was recomputed this call —
+/// so an edit whose dirty set is one leaf-to-root path costs
+/// `O(depth × frontier)` instead of a full re-run.
 ///
 /// `cap_bound` must be at least [`required_cap_bound`] for the current
 /// configuration and must be held **fixed** across every call sharing
@@ -1122,9 +1120,10 @@ impl Solver<'_> {
     ///    intersection of each side's domain shifted down by the sibling
     ///    capacitance, clamped to `[0, cap_bound]`. When the bounding
     ///    spans alone prove that intersection empty, the product would be
-    ///    born with no validity domain and could never reach the root —
-    ///    skipping it is exactly equivalent to materializing and later
-    ///    discarding it.
+    ///    born with no validity domain and could never reach the root.
+    ///    Skipping it is not bit-neutral, though: materializing such
+    ///    products and letting the prunes discard them instead moves one
+    ///    ARD of the table4 benchmark's `n10-i14-sizing` net by one ulp.
     /// 2. **Champion dominance.** A bounded pool of recent single-span
     ///    survivors ([`Champion`]) is compared against the product's
     ///    *optimistic lower bounds*: `arrival ≥ max` of the side floors,
@@ -1156,39 +1155,6 @@ impl Solver<'_> {
         };
         let l_info: Vec<[f64; 4]> = left.iter().map(info).collect();
         let r_info: Vec<[f64; 4]> = right.iter().map(info).collect();
-        // Predictive row pre-bounds: aggregate envelope of the whole
-        // right set, so an entire left row (|right| products) can be
-        // rejected with O(1) work *before* any product is formed. The
-        // envelope floors are sound lower bounds for every product of
-        // the row, so a champion dominating the floors dominates every
-        // product — an exact whole-row generalization of the per-product
-        // cutoffs below. Gated off under inverting libraries (parity
-        // makes the per-product skip accounting non-uniform) and when
-        // predictive pruning is disabled.
-        let row_skip = self.options.predictive && !inverting && !right.is_empty();
-        let slack = self.options.prebound_slack;
-        let mut r_cap_min = f64::INFINITY;
-        let mut r_cap_max = f64::NEG_INFINITY;
-        let mut r_cost_min = f64::INFINITY;
-        let mut r_ds_min = f64::INFINITY;
-        let mut r_lo_min = f64::INFINITY;
-        let mut r_hi_max = f64::NEG_INFINITY;
-        let mut r_y_min = f64::INFINITY;
-        let mut r_d_min = f64::INFINITY;
-        let mut r_relax_max = 0u32;
-        if row_skip {
-            for (r, ri) in right.iter().zip(&r_info) {
-                r_cap_min = r_cap_min.min(r.scalars[CAP]);
-                r_cap_max = r_cap_max.max(r.scalars[CAP]);
-                r_cost_min = r_cost_min.min(r.scalars[COST]);
-                r_ds_min = r_ds_min.min(r.scalars[DSINKS]);
-                r_lo_min = r_lo_min.min(ri[0]);
-                r_hi_max = r_hi_max.max(ri[1]);
-                r_y_min = r_y_min.min(ri[2]);
-                r_d_min = r_d_min.min(ri[3]);
-                r_relax_max = r_relax_max.max(r.payload.relax);
-            }
-        }
         let mut champs: Vec<Champion> = Vec::new();
         // High-water mark for block pruning, checked per product (a
         // single left row can be tens of thousands of products wide).
@@ -1197,55 +1163,6 @@ impl Solver<'_> {
         // survivor floor itself exceeds the block size.
         let mut next_prune = 2 * BLOCK_LIMIT;
         for (l, li) in left.iter().zip(&l_info) {
-            if row_skip {
-                // Whole-row cutoff 1: every product of this row has an
-                // empty shifted domain. Counted exactly as the
-                // per-product cutoff would have counted it.
-                if li[1] - r_cap_min < 0.0
-                    || r_hi_max - l.scalars[CAP] < 0.0
-                    || li[0] - r_cap_max > b
-                    || r_lo_min - l.scalars[CAP] > b
-                {
-                    self.stats.join.scalar_pruned += right.len() as u64;
-                    continue;
-                }
-                // Whole-row champion dominance over the row's envelope
-                // floors. `r_y_min = +∞` (all rights invalid) is handled
-                // by the guard — the cross terms would otherwise mix
-                // infinities into a NaN.
-                if li[1] >= li[0] && r_y_min < f64::INFINITY {
-                    let row_cost = l.scalars[COST] + r_cost_min;
-                    let row_cap = l.scalars[CAP] + r_cap_min;
-                    let row_ds = l.scalars[DSINKS].max(r_ds_min);
-                    let row_dom_lo = (li[0] - r_cap_max)
-                        .max(r_lo_min - l.scalars[CAP])
-                        .max(0.0);
-                    let row_dom_hi = (li[1] - r_cap_min)
-                        .min(r_hi_max - l.scalars[CAP])
-                        .min(b);
-                    let row_y = li[2].max(r_y_min);
-                    let row_d = li[3]
-                        .max(r_d_min)
-                        .max(li[2] + r_ds_min)
-                        .max(r_y_min + l.scalars[DSINKS]);
-                    let row_relax = l.payload.relax.max(r_relax_max);
-                    if let Some(k) = champs.iter().position(|c| {
-                        !c.parity
-                            && c.relax >= row_relax
-                            && c.cost <= row_cost + slack
-                            && c.cap <= row_cap + slack
-                            && c.d_sinks <= row_ds + slack
-                            && c.dom_lo <= row_dom_lo + slack
-                            && c.dom_hi >= row_dom_hi - slack
-                            && c.y_hi <= row_y + slack
-                            && c.d_hi <= row_d + slack
-                    }) {
-                        champs[..=k].rotate_right(1);
-                        self.stats.join.materialized_avoided += right.len() as u64;
-                        continue;
-                    }
-                }
-            }
             for (r, ri) in right.iter().zip(&r_info) {
                 if out.len() >= next_prune {
                     out = self.prune(out, Step::Join);
@@ -1713,12 +1630,6 @@ impl Solver<'_> {
         match self.options.pruning {
             PruningStrategy::DivideConquer => (mfs_divide_conquer(set, MFS_LEAF_THRESHOLD), 0),
             PruningStrategy::Naive => (mfs_naive(set), 0),
-            PruningStrategy::Bucketed => {
-                let (kept, counts) = mfs_sorted_sweep_with(set, 0.0, &mut |s, v, relaxed| {
-                    s.relax = s.relax.max(v.relax + u32::from(relaxed));
-                });
-                (kept, counts.scalar_killed)
-            }
             PruningStrategy::WholeDomainOnly => (whole_domain_prune(set), 0),
             PruningStrategy::Approximate { eps } => {
                 let (kept, counts) = mfs_sorted_sweep_with(set, eps, &mut |s, v, relaxed| {
@@ -1968,19 +1879,6 @@ mod tests {
         assert_eq!(out[0].scalars[COST], 0.0);
     }
 
-    /// Bit-level frontier equality: point count, cost/ARD bit patterns,
-    /// and the full materialized configuration of every point.
-    fn curves_bit_eq(a: &TradeoffCurve, b: &TradeoffCurve) -> bool {
-        a.points().len() == b.points().len()
-            && a.points().iter().zip(b.points()).all(|(p, q)| {
-                p.cost.to_bits() == q.cost.to_bits()
-                    && p.ard.to_bits() == q.ard.to_bits()
-                    && p.assignment == q.assignment
-                    && p.terminal_choices == q.terminal_choices
-                    && p.wire_choices == q.wire_choices
-            })
-    }
-
     #[test]
     fn incremental_cold_cache_matches_optimize_bit_for_bit() {
         let fix = Fix::new();
@@ -2017,7 +1915,7 @@ mod tests {
             &mut MsriWorkspace::new(),
         )
         .unwrap();
-        assert!(curves_bit_eq(&inc, &plain), "cold incremental ≡ optimize");
+        assert_eq!(inc.first_bit_difference(&plain), None, "cold incremental ≡ optimize");
 
         // Warm cache, nothing dirty: every node is reused, same answer.
         let (warm, stats) = optimize_incremental(
@@ -2035,7 +1933,7 @@ mod tests {
         .unwrap();
         assert_eq!(stats.nodes_recomputed, 0);
         assert_eq!(stats.nodes_reused, n - 1);
-        assert!(curves_bit_eq(&warm, &plain), "warm reuse ≡ optimize");
+        assert_eq!(warm.first_bit_difference(&plain), None, "warm reuse ≡ optimize");
     }
 
     #[test]
@@ -2079,7 +1977,7 @@ mod tests {
 
         // Oracle: from-scratch with an empty cache under the same bound.
         let (scratch, _) = run(&net2, &vec![true; n], &mut DpCache::new(), &mut ws);
-        assert!(curves_bit_eq(&inc, &scratch), "dirty-path ≡ from-scratch");
+        assert_eq!(inc.first_bit_difference(&scratch), None, "dirty-path ≡ from-scratch");
     }
 
     #[test]
@@ -2174,8 +2072,8 @@ mod tests {
         let strategies = [
             PruningStrategy::DivideConquer,
             PruningStrategy::Naive,
-            PruningStrategy::Bucketed,
             PruningStrategy::WholeDomainOnly,
+            PruningStrategy::Approximate { eps: 0.0 },
         ];
         let mut any_rejected = false;
         for strat in strategies {
@@ -2191,7 +2089,7 @@ mod tests {
             let c_on = run_net(&net, &library, &on);
             let c_off = run_net(&net, &library, &off);
             assert!(
-                curves_bit_eq(&c_on, &c_off),
+                c_on.first_bit_difference(&c_off).is_none(),
                 "predictive pruning changed the frontier under {strat:?}"
             );
             let s_on = c_on.stats();
@@ -2270,7 +2168,7 @@ mod tests {
             "a huge slack must reject candidates pre-materialization"
         );
         assert!(
-            !curves_bit_eq(&sound, &broken),
+            sound.first_bit_difference(&broken).is_some(),
             "the drill knob must corrupt the frontier so verify can catch it"
         );
     }
@@ -2320,6 +2218,6 @@ mod tests {
         let net = chain_net();
         let c_on = run_net(&net, &library, &on);
         let c_off = run_net(&net, &library, &off);
-        assert!(curves_bit_eq(&c_on, &c_off), "inverting + predictive diverged");
+        assert_eq!(c_on.first_bit_difference(&c_off), None, "inverting + predictive diverged");
     }
 }

@@ -67,8 +67,8 @@ mod options;
 mod tradeoff;
 
 pub use dp::{
-    optimize, optimize_in, optimize_incremental, optimize_with_wires, optimize_with_wires_in,
-    required_cap_bound, DpCache, MsriStats, MsriWorkspace, RecomputeStats, StepStats,
+    optimize, optimize_in, optimize_incremental, optimize_with_wires, required_cap_bound,
+    DpCache, MsriStats, MsriWorkspace, RecomputeStats, StepStats,
 };
 pub use options::{
     MsriError, MsriOptions, PruningStrategy, TerminalOption, TerminalOptions, WireOption,

@@ -230,10 +230,10 @@ impl Default for WireOption {
 
 /// How the solution sets are pruned between dynamic-programming steps.
 ///
-/// `DivideConquer`, `Naive`, `Bucketed` and `WholeDomainOnly` are exact:
-/// they produce identical trade-off curves. `Approximate` trades a
-/// bounded relative error for smaller candidate sets; with `eps = 0.0`
-/// it too is exact.
+/// `DivideConquer`, `Naive` and `WholeDomainOnly` are exact: they
+/// produce identical trade-off curves. `Approximate` trades a bounded
+/// relative error for smaller candidate sets; with `eps = 0.0` it too is
+/// exact.
 // No `Eq`: `Approximate` carries an `f64`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum PruningStrategy {
@@ -242,22 +242,19 @@ pub enum PruningStrategy {
     DivideConquer,
     /// Naive pairwise MFS (`O(n²)` comparisons, same result).
     Naive,
-    /// Cost-bucketed sorted-sweep MFS ([`msrnet_pwl::mfs_bucketed`]):
-    /// candidates are sorted by `(cost, cap, …)` with `total_cmp` and
-    /// scalar/summary-dominated ones are eliminated before any PWL
-    /// region comparison (Li–Shi-style predicate ordering). Exact —
-    /// same frontiers as the default.
-    Bucketed,
     /// Ablation: discard a candidate only when another dominates it over
     /// its **whole** remaining domain; no partial-region invalidation.
     /// Correct but weaker — kept to quantify the value of functional
     /// (region-wise) pruning.
     WholeDomainOnly,
-    /// Bucketed sweep plus eps-relative coalescing
-    /// ([`msrnet_pwl::mfs_approximate`]): candidates within a relative
-    /// `eps` of a kept candidate in every dimension are dropped, with a
-    /// (1+eps) coverage guarantee on the resulting frontier. `eps` must
-    /// be in `[0, 1)`; `eps = 0.0` is exact.
+    /// Cost-sorted sweep MFS ([`msrnet_pwl::mfs_sorted_sweep`]) with
+    /// eps-relative coalescing: candidates are sorted by `(cost, cap, …)`
+    /// with `total_cmp`, scalar/summary-dominated ones are eliminated
+    /// before any PWL region comparison (Li–Shi-style predicate
+    /// ordering), and candidates within a relative `eps` of a kept
+    /// candidate in every dimension are dropped, with a (1+eps) coverage
+    /// guarantee on the resulting frontier. `eps` must be in `[0, 1)`;
+    /// `eps = 0.0` is exact — same frontiers as the default.
     Approximate {
         /// Relative coalescing tolerance, in `[0, 1)`.
         eps: f64,
@@ -267,7 +264,7 @@ pub enum PruningStrategy {
 impl PruningStrategy {
     /// Parses the canonical spelling used by every entry point (CLI
     /// flags, batch job specs, the service protocol):
-    /// `divide-conquer`, `naive`, `bucketed`, `whole-domain`, or
+    /// `divide-conquer`, `naive`, `whole-domain`, or
     /// `approx:EPS` with `EPS` a finite float in `[0, 1)`.
     ///
     /// This is the single parser all surfaces share, so a strategy
@@ -286,11 +283,10 @@ impl PruningStrategy {
         match s {
             "divide-conquer" => Ok(PruningStrategy::DivideConquer),
             "naive" => Ok(PruningStrategy::Naive),
-            "bucketed" => Ok(PruningStrategy::Bucketed),
             "whole-domain" => Ok(PruningStrategy::WholeDomainOnly),
             _ => Err(format!(
                 "unknown pruning strategy '{s}' \
-                 (expected divide-conquer, naive, bucketed, whole-domain, or approx:EPS)"
+                 (expected divide-conquer, naive, whole-domain, or approx:EPS)"
             )),
         }
     }
@@ -317,7 +313,6 @@ impl fmt::Display for PruningStrategy {
         match self {
             PruningStrategy::DivideConquer => write!(f, "divide-conquer"),
             PruningStrategy::Naive => write!(f, "naive"),
-            PruningStrategy::Bucketed => write!(f, "bucketed"),
             PruningStrategy::WholeDomainOnly => write!(f, "whole-domain"),
             PruningStrategy::Approximate { eps } => write!(f, "approx:{eps}"),
         }
@@ -476,7 +471,6 @@ mod tests {
         let all = [
             PruningStrategy::DivideConquer,
             PruningStrategy::Naive,
-            PruningStrategy::Bucketed,
             PruningStrategy::WholeDomainOnly,
             PruningStrategy::Approximate { eps: 0.05 },
             PruningStrategy::Approximate { eps: 0.0 },
@@ -502,7 +496,7 @@ mod tests {
     fn pruning_strategy_eps_and_exactness() {
         assert_eq!(PruningStrategy::DivideConquer.eps(), 0.0);
         assert_eq!(PruningStrategy::Approximate { eps: 0.1 }.eps(), 0.1);
-        assert!(PruningStrategy::Bucketed.is_exact());
+        assert!(PruningStrategy::Naive.is_exact());
         assert!(PruningStrategy::Approximate { eps: 0.0 }.is_exact());
         assert!(!PruningStrategy::Approximate { eps: 0.1 }.is_exact());
     }

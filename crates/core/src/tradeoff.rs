@@ -152,6 +152,22 @@ impl TradeoffCurve {
     pub fn iter(&self) -> std::slice::Iter<'_, TradeoffPoint> {
         self.points.iter()
     }
+
+    /// The index of the first point at which `self` and `other` are not
+    /// bit-identical — cost and ARD bit patterns (so `-0.0 ≠ 0.0`),
+    /// assignment, terminal choices and wire choices — or `None` when
+    /// the curves are identical. When one curve is a prefix of the
+    /// other, they differ at the shorter one's length.
+    pub fn first_bit_difference(&self, other: &TradeoffCurve) -> Option<usize> {
+        let differs = self.points.iter().zip(&other.points).position(|(p, q)| {
+            p.cost.to_bits() != q.cost.to_bits()
+                || p.ard.to_bits() != q.ard.to_bits()
+                || p.assignment != q.assignment
+                || p.terminal_choices != q.terminal_choices
+                || p.wire_choices != q.wire_choices
+        });
+        differs.or_else(|| (self.len() != other.len()).then_some(self.len().min(other.len())))
+    }
 }
 
 impl<'a> IntoIterator for &'a TradeoffCurve {
@@ -238,6 +254,18 @@ mod tests {
             .points()
             .iter()
             .any(|p| p.cost == knee.cost && p.ard == knee.ard));
+    }
+
+    #[test]
+    fn first_bit_difference_names_the_first_differing_point() {
+        let long = chain_curve(6);
+        assert_eq!(long.first_bit_difference(&chain_curve(6)), None);
+        let mut moved = long.clone();
+        moved.points[2].ard = -moved.points[2].ard;
+        assert_eq!(long.first_bit_difference(&moved), Some(2));
+        let short = TradeoffCurve::new(long.points[..3].to_vec(), long.stats());
+        assert_eq!(long.first_bit_difference(&short), Some(3));
+        assert_eq!(short.first_bit_difference(&long), Some(3));
     }
 
     #[test]

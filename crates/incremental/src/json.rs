@@ -1,13 +1,18 @@
-//! A minimal, dependency-free JSON reader shared across the workspace.
+//! The workspace's one minimal, dependency-free JSON reader and its
+//! matching writers.
 //!
 //! Grown out of the edit-trace format (see [`crate::parse_trace`]) and
 //! promoted to a public module so other consumers of small JSON request
 //! bodies — notably the `msrnet-service` session server's `batch`
 //! payloads — parse through one implementation. It is a strict subset
-//! reader: numbers, strings (with the mandatory escapes plus `\/`),
-//! booleans, `null`, arrays and objects; duplicate keys are preserved in
-//! order; `\uXXXX` escapes are deliberately unsupported (the workspace
-//! formats never emit them) and fail loudly.
+//! reader: numbers, strings (with the mandatory escapes, `\/` and
+//! `\uXXXX`), booleans, `null`, arrays and objects; duplicate keys are
+//! preserved in order. A `\uXXXX` escape must name a Unicode scalar
+//! value: surrogates (and so surrogate pairs) are rejected, since the
+//! writers emit non-ASCII text as raw UTF-8.
+//!
+//! Report writers format strings with [`json_str`] and numbers with
+//! [`json_num`], so what they emit reads back through [`parse_json`].
 //!
 //! # Examples
 //!
@@ -82,6 +87,37 @@ pub fn parse_json(input: &str) -> Result<Json, JsonError> {
         return Err(p.err("trailing input after the root value"));
     }
     Ok(root)
+}
+
+/// A JSON string literal: quoted, with `"`, `\\`, `\n`, `\r` and `\t`
+/// escaped and every other control character written as `\u00XX`.
+/// Non-ASCII text is written as raw UTF-8.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A finite float as a JSON number (Rust's shortest round-trip form),
+/// a non-finite one as `null`.
+pub fn json_num(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
 }
 
 struct Parser<'a> {
@@ -209,6 +245,20 @@ impl<'a> Parser<'a> {
                         b'n' => out.push('\n'),
                         b't' => out.push('\t'),
                         b'r' => out.push('\r'),
+                        b'u' => {
+                            let code = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("\\u escape needs four hex digits"))?;
+                            let ch = char::from_u32(code).ok_or_else(|| {
+                                self.err(format!("\\u{code:04x} is a surrogate, not a character"))
+                            })?;
+                            out.push(ch);
+                            self.pos += 4;
+                        }
                         other => {
                             return Err(
                                 self.err(format!("unsupported escape '\\{}'", other as char))
@@ -288,7 +338,10 @@ mod tests {
             ("truth", "expected \"true\""),
             ("1e", "invalid number"),
             ("{} trailing", "trailing input"),
-            ("\"\\u0041\"", "unsupported escape"),
+            ("\"\\x41\"", "unsupported escape"),
+            ("\"\\u04\"", "four hex digits"),
+            ("\"\\u+041\"", "four hex digits"),
+            ("\"\\ud83d\\ude00\"", "surrogate"),
         ] {
             let err = parse_json(input).unwrap_err();
             assert!(
@@ -296,6 +349,23 @@ mod tests {
                 "for {input:?}: got {:?}, wanted {needle:?}",
                 err.message
             );
+        }
+    }
+
+    #[test]
+    fn writers_round_trip_through_the_reader() {
+        let mut text: String = (0u8..0x20).map(char::from).collect();
+        text.push_str("\"\\/ plain ÷ µm ✓ 𝄞");
+        let quoted = json_str(&text);
+        assert!(quoted.starts_with("\"\\u0000\\u0001"), "{quoted}");
+        assert!(quoted.contains("\\t\\n\\u000b\\u000c\\r"), "{quoted}");
+        assert_eq!(parse_json(&quoted), Ok(Json::Str(text)));
+        assert_eq!(parse_json("\"\\u00C4\\u00e4\""), Ok(Json::Str("Ää".into())));
+        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_num(1.5), "1.5");
+        assert_eq!(parse_json(&json_num(0.1 + 0.2)), Ok(Json::Num(0.1 + 0.2)));
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(json_num(x), "null");
         }
     }
 

@@ -1228,17 +1228,6 @@ mod tests {
         )
     }
 
-    fn bit_eq(a: &TradeoffCurve, b: &TradeoffCurve) -> bool {
-        a.points().len() == b.points().len()
-            && a.points().iter().zip(b.points()).all(|(p, q)| {
-                p.cost.to_bits() == q.cost.to_bits()
-                    && p.ard.to_bits() == q.ard.to_bits()
-                    && p.assignment == q.assignment
-                    && p.terminal_choices == q.terminal_choices
-                    && p.wire_choices == q.wire_choices
-            })
-    }
-
     #[test]
     fn edit_replay_is_bit_identical_to_scratch() {
         let mut s = session();
@@ -1255,7 +1244,7 @@ mod tests {
             applied += 1;
             let (inc, stats) = s.recompute().unwrap();
             let (scratch, full) = s.from_scratch().unwrap();
-            assert!(bit_eq(&inc, &scratch), "divergence after {edit:?}");
+            assert_eq!(inc.first_bit_difference(&scratch), None, "divergence after {edit:?}");
             assert!(stats.nodes_recomputed <= full.nodes_recomputed);
         }
         assert!(applied >= edits.len() / 2, "only {applied} edits applied");
@@ -1309,7 +1298,7 @@ mod tests {
                 orig = back;
                 continue;
             }
-            assert!(bit_eq(&orig, &back), "inverse of {edit:?} failed");
+            assert_eq!(orig.first_bit_difference(&back), None, "inverse of {edit:?} failed");
             checked += 1;
         }
         assert!(checked > 0, "no inverse pair was actually checked");
@@ -1363,7 +1352,7 @@ mod tests {
         }
         let (after, stats) = s.recompute().unwrap();
         assert_eq!(stats.nodes_recomputed, 0, "no dirt from rejected edits");
-        assert!(bit_eq(&before, &after));
+        assert_eq!(before.first_bit_difference(&after), None);
     }
 
     #[test]
@@ -1381,7 +1370,7 @@ mod tests {
         assert!(s.cap_bound() > bound);
         let (inc, _) = s.recompute().unwrap();
         let (scratch, _) = s.from_scratch().unwrap();
-        assert!(bit_eq(&inc, &scratch));
+        assert_eq!(inc.first_bit_difference(&scratch), None);
     }
 
     #[test]
@@ -1401,7 +1390,7 @@ mod tests {
         assert_eq!(s.net().topology.length(e), 0.0);
         let (inc, _) = s.recompute().unwrap();
         let (scratch, _) = s.from_scratch().unwrap();
-        assert!(bit_eq(&inc, &scratch));
+        assert_eq!(inc.first_bit_difference(&scratch), None);
     }
 
     #[test]
@@ -1524,7 +1513,7 @@ mod tests {
         assert!(s.last_remap().is_none(), "appends never remap");
         let (inc, _) = s.recompute().unwrap();
         let (scratch, _) = s.from_scratch().unwrap();
-        assert!(bit_eq(&inc, &scratch));
+        assert_eq!(inc.first_bit_difference(&scratch), None);
     }
 
     #[test]
@@ -1551,7 +1540,7 @@ mod tests {
         assert_eq!(s.last_remap(), Some(StructuralRemap::default()));
         let (back, _) = s.recompute().unwrap();
         assert_eq!(s.escalations(), esc, "bound must not move in this regime");
-        assert!(bit_eq(&orig, &back));
+        assert_eq!(orig.first_bit_difference(&back), None);
     }
 
     #[test]
@@ -1571,7 +1560,7 @@ mod tests {
         assert_eq!(s.net().terminals.len(), 2);
         let (inc, _) = s.recompute().unwrap();
         let (scratch, _) = s.from_scratch().unwrap();
-        assert!(bit_eq(&inc, &scratch));
+        assert_eq!(inc.first_bit_difference(&scratch), None);
     }
 
     #[test]
@@ -1595,11 +1584,11 @@ mod tests {
         // only stay equal or improve, and must match scratch exactly.
         let (mid, _) = s.recompute().unwrap();
         let (mid_scratch, _) = s.from_scratch().unwrap();
-        assert!(bit_eq(&mid, &mid_scratch));
+        assert_eq!(mid.first_bit_difference(&mid_scratch), None);
         s.apply(&inverse).unwrap();
         let (back, _) = s.recompute().unwrap();
         assert_eq!(s.escalations(), esc);
-        assert!(bit_eq(&orig, &back));
+        assert_eq!(orig.first_bit_difference(&back), None);
     }
 
     #[test]
@@ -1679,7 +1668,7 @@ mod tests {
         }
         let (after, stats) = s.recompute().unwrap();
         assert_eq!(stats.nodes_recomputed, 0);
-        assert!(bit_eq(&before, &after));
+        assert_eq!(before.first_bit_difference(&after), None);
     }
 
     #[test]
@@ -1761,7 +1750,7 @@ mod tests {
         let (inc, _) = s.recompute().unwrap();
         let (scratch, _) = s.from_scratch().unwrap();
         assert!(
-            !bit_eq(&inc, &scratch),
+            inc.first_bit_difference(&scratch).is_some(),
             "the injected fault must produce a detectable divergence"
         );
     }
@@ -1794,7 +1783,7 @@ mod tests {
             s.apply(edit).unwrap();
             let (inc, _) = s.recompute().unwrap();
             let (scratch, _) = s.from_scratch().unwrap();
-            assert!(bit_eq(&inc, &scratch), "divergence after {edit:?}");
+            assert_eq!(inc.first_bit_difference(&scratch), None, "divergence after {edit:?}");
         }
     }
 

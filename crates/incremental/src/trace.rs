@@ -402,7 +402,10 @@ mod tests {
     fn string_escapes_are_decoded() {
         // Escapes only appear in keys/ops for this format, but the
         // parser handles them uniformly.
-        let err = parse_trace("{\"edits\": [{\"op\": \"set\\u0041\"}]}").unwrap_err();
+        let edits =
+            parse_trace("{\"edits\": [{\"op\": \"re\\u0072oot\", \"terminal\": 1}]}").unwrap();
+        assert_eq!(edits, vec![Edit::Reroot { terminal: TerminalId(1) }]);
+        let err = parse_trace("{\"edits\": [{\"op\": \"set\\x41\"}]}").unwrap_err();
         assert!(err.message.contains("unsupported escape"));
     }
 }

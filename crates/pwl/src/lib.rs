@@ -62,9 +62,8 @@ pub use arena::{ArenaCheckpoint, SegmentArena};
 pub use function::{lower_envelope, upper_envelope, Pwl};
 pub use interval::IntervalSet;
 pub use mfs::{
-    mfs_approximate, mfs_bucketed, mfs_divide_conquer, mfs_naive, mfs_sorted_sweep,
-    mfs_sorted_sweep_with, FuncPoint,
-    MfsCounts,
+    mfs_approximate, mfs_divide_conquer, mfs_naive, mfs_sorted_sweep, mfs_sorted_sweep_with,
+    FuncPoint, MfsCounts,
 };
 pub use segment::Segment;
 

@@ -1,7 +1,7 @@
 //! Minimal functional subset (MFS) computation — dominance pruning over
 //! tuples of scalars and PWL functions (paper §IV-D, Definition 4.3 and
-//! the divide-and-conquer algorithm of Fig. 4), plus a cost-bucketed
-//! sorted-sweep engine ([`mfs_bucketed`]) that front-loads cheap scalar
+//! the divide-and-conquer algorithm of Fig. 4), plus a cost-sorted
+//! sweep engine ([`mfs_sorted_sweep`]) that front-loads cheap scalar
 //! predicates before any PWL comparison, in the spirit of Li & Shi's
 //! sorted-candidate buffer-insertion pruning.
 
@@ -285,24 +285,6 @@ fn may_dominate<T>(a: &FuncPoint<T>, sa: &Summary, b: &FuncPoint<T>, sb: &Summar
         && sa.lo.iter().zip(&sb.hi).all(|(al, bh)| *al <= *bh)
 }
 
-/// Cost-bucketed sorted-sweep MFS: sorts candidates lexicographically by
-/// their scalars with `total_cmp`, eliminates summary-dominated
-/// candidates with cheap O(dims) predicates, and runs the exact PWL
-/// `dominance_region` comparisons only on pairs the summaries cannot
-/// decide. Produces the same optimal envelopes as [`mfs_naive`].
-///
-/// Sorting makes cross-bucket pruning one-directional: a candidate can
-/// only be region-pruned by candidates of smaller-or-equal first scalar
-/// ("cost"), so the reverse `dominance_region` is attempted only within
-/// a bucket of equal cost. Note that comparisons are *not* restricted to
-/// adjacent cost levels — a level-`i` candidate can dominate a
-/// level-`i+2` candidate even when level `i+1` offers no coverage, so an
-/// adjacent-only sweep would keep dominated candidates alive; the cheap
-/// summary prefilters are what keep the full sweep fast.
-pub fn mfs_bucketed<T>(items: Vec<FuncPoint<T>>) -> Vec<FuncPoint<T>> {
-    mfs_sorted_sweep(items, 0.0).0
-}
-
 /// Approximate MFS with a documented (1+eps) guarantee: in addition to
 /// exact region pruning, coalesces candidates whose scalars and PWL
 /// envelopes are within a relative `eps` of a kept candidate.
@@ -327,9 +309,8 @@ pub fn mfs_bucketed<T>(items: Vec<FuncPoint<T>>) -> Vec<FuncPoint<T>> {
 /// `(1+eps)` factor to any coverage chain; callers that need the
 /// end-to-end budget can count the chain depth exactly with
 /// [`mfs_sorted_sweep_with`]'s kill callback (the repeater-insertion DP
-/// threads this into its relaxation ledger). With `eps = 0` this is
-/// exactly [`mfs_bucketed`] and the result's envelopes equal
-/// [`mfs_naive`]'s.
+/// threads this into its relaxation ledger). With `eps = 0` this is the
+/// exact sorted sweep and the result's envelopes equal [`mfs_naive`]'s.
 ///
 /// # Panics
 ///
@@ -342,12 +323,24 @@ pub fn mfs_approximate<T>(items: Vec<FuncPoint<T>>, eps: f64) -> Vec<FuncPoint<T
     mfs_sorted_sweep(items, eps).0
 }
 
-/// The engine behind [`mfs_bucketed`] / [`mfs_approximate`], returning
-/// elimination counters so callers (the DP's pruning statistics) can
-/// attribute kills to the scalar presweep vs the PWL comparisons.
+/// Cost-sorted sweep MFS: sorts candidates lexicographically by their
+/// scalars with `total_cmp`, eliminates summary-dominated candidates
+/// with cheap O(dims) predicates, and runs the exact PWL
+/// `dominance_region` comparisons only on pairs the summaries cannot
+/// decide. With `eps = 0` it produces the same optimal envelopes as
+/// [`mfs_naive`]; see [`mfs_approximate`] for the `eps > 0` semantics.
+/// Returns elimination counters so callers (the DP's pruning
+/// statistics) can attribute kills to the scalar presweep vs the PWL
+/// comparisons.
 ///
-/// `eps = 0` is exact; see [`mfs_approximate`] for the `eps > 0`
-/// semantics.
+/// Sorting makes cross-bucket pruning one-directional: a candidate can
+/// only be region-pruned by candidates of smaller-or-equal first scalar
+/// ("cost"), so the reverse `dominance_region` is attempted only within
+/// a bucket of equal cost. Note that comparisons are *not* restricted to
+/// adjacent cost levels — a level-`i` candidate can dominate a
+/// level-`i+2` candidate even when level `i+1` offers no coverage, so an
+/// adjacent-only sweep would keep dominated candidates alive; the cheap
+/// summary prefilters are what keep the full sweep fast.
 pub fn mfs_sorted_sweep<T>(
     items: Vec<FuncPoint<T>>,
     eps: f64,
@@ -654,7 +647,7 @@ mod tests {
         assert_eq!(counts.scalar_killed, 1, "b dies on the summary predicate");
 
         let mk = || fp("x", &[1.0], vec![Pwl::constant(2.0, 0.0, 10.0)]);
-        assert_eq!(mfs_bucketed(vec![mk(), mk(), mk()]).len(), 1);
+        assert_eq!(mfs_sorted_sweep(vec![mk(), mk(), mk()], 0.0).0.len(), 1);
     }
 
     #[test]
@@ -667,7 +660,7 @@ mod tests {
             fp("lvl2", &[2.0], vec![Pwl::constant(0.5, 20.0, 30.0)]),
             fp("lvl3", &[3.0], vec![Pwl::constant(5.0, 0.0, 10.0)]),
         ];
-        let kept = mfs_bucketed(items);
+        let (kept, _) = mfs_sorted_sweep(items, 0.0);
         let mut names: Vec<_> = kept.iter().map(|p| p.payload).collect();
         names.sort_unstable();
         assert_eq!(names, vec!["lvl1", "lvl2"]);

@@ -9,9 +9,7 @@
 //! families of scalar+PWL candidates, and that both pruning strategies
 //! expose identical optimal envelopes.
 
-use msrnet_pwl::{
-    mfs_approximate, mfs_bucketed, mfs_divide_conquer, mfs_naive, FuncPoint, Pwl, Segment,
-};
+use msrnet_pwl::{mfs_approximate, mfs_divide_conquer, mfs_naive, FuncPoint, Pwl, Segment};
 use msrnet_rng::{Rng, SeedableRng, SplitMix64};
 
 const DOMAIN: (f64, f64) = (0.0, 10.0);
@@ -166,8 +164,6 @@ fn strategies_expose_identical_optimal_envelopes() {
 fn bucketed_sweep_satisfies_the_coverage_law() {
     for seed in 0..60u64 {
         let originals = random_family(seed);
-        let kept = mfs_bucketed(originals.clone());
-        assert_covered(&originals, &kept, seed);
         let kept0 = mfs_approximate(originals.clone(), 0.0);
         assert_covered(&originals, &kept0, seed);
     }
@@ -177,11 +173,10 @@ fn bucketed_sweep_satisfies_the_coverage_law() {
 fn bucketed_and_exact_approximate_match_the_naive_envelope() {
     // Tie representatives may differ between sweep orders, but the
     // pointwise optimum over survivors must be identical to naive MFS
-    // for the exact variants (bucketed, and approximate at eps = 0).
+    // for the exact sweep (approximate at eps = 0).
     for seed in 120..170u64 {
         let originals = random_family(seed);
         let naive = mfs_naive(originals.clone());
-        let bucketed = mfs_bucketed(originals.clone());
         let approx0 = mfs_approximate(originals, 0.0);
         for x in sample_points() {
             let envelope = |kept: &[FuncPoint<usize>]| -> Option<f64> {
@@ -190,18 +185,13 @@ fn bucketed_and_exact_approximate_match_the_naive_envelope() {
                     .filter_map(|s| s.pwls[0].eval(x))
                     .min_by(f64::total_cmp)
             };
-            let n = envelope(&naive);
-            for (label, kept) in [("bucketed", &bucketed), ("approx0", &approx0)] {
-                match (n, envelope(kept)) {
-                    (Some(a), Some(b)) => assert!(
-                        (a - b).abs() <= EPS,
-                        "seed {seed}: {label} envelope diverges at x={x}: {a} vs {b}"
-                    ),
-                    (None, None) => {}
-                    _ => panic!(
-                        "seed {seed}: {label} envelope defined differently from naive at x={x}"
-                    ),
-                }
+            match (envelope(&naive), envelope(&approx0)) {
+                (Some(a), Some(b)) => assert!(
+                    (a - b).abs() <= EPS,
+                    "seed {seed}: approx0 envelope diverges at x={x}: {a} vs {b}"
+                ),
+                (None, None) => {}
+                _ => panic!("seed {seed}: approx0 envelope defined differently from naive at x={x}"),
             }
         }
     }

@@ -14,33 +14,10 @@
 //! the same net and trace *by construction*. The golden/oracle tests
 //! assert that equality on raw bytes.
 
-use msrnet_core::{
-    required_cap_bound, MsriOptions, PruningStrategy, TerminalOptions, TradeoffCurve, WireOption,
-};
+use msrnet_core::{required_cap_bound, MsriOptions, PruningStrategy, TerminalOptions, WireOption};
+use msrnet_incremental::json::{json_num, json_str};
 use msrnet_incremental::{Edit, IncrementalOptimizer};
 use msrnet_rctree::{Net, Repeater, TerminalId};
-
-/// Bit-level curve equality (values and realizations) for the per-edit
-/// incremental-vs-scratch cross-check.
-pub fn curves_bit_identical(a: &TradeoffCurve, b: &TradeoffCurve) -> bool {
-    a.len() == b.len()
-        && a.points().iter().zip(b.points()).all(|(pa, pb)| {
-            pa.cost.to_bits() == pb.cost.to_bits()
-                && pa.ard.to_bits() == pb.ard.to_bits()
-                && pa.assignment == pb.assignment
-                && pa.terminal_choices == pb.terminal_choices
-                && pa.wire_choices == pb.wire_choices
-        })
-}
-
-/// A finite float as JSON, non-finite as `null`.
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// One incremental session plus its replay report state.
 pub struct Replayer {
@@ -166,8 +143,9 @@ impl Replayer {
             self.rejected += 1;
             self.rows.push(format!(
                 "    {{\"step\": {step}, \"op\": \"{}\", \"status\": \"rejected\", \
-                 \"reason\": \"{e}\", \"bit_identical\": null, \"micros\": null}}",
-                edit.op_name()
+                 \"reason\": {}, \"bit_identical\": null, \"micros\": null}}",
+                edit.op_name(),
+                json_str(&e.to_string())
             ));
             return false;
         }
@@ -194,7 +172,7 @@ impl Replayer {
         let scratch = self.session.from_scratch();
         match (inc, scratch) {
             (Ok((a, sa)), Ok((b, _))) => {
-                let bit = curves_bit_identical(&a, &b);
+                let bit = a.first_bit_difference(&b).is_none();
                 if !bit {
                     self.mismatches += 1;
                 }
@@ -219,7 +197,8 @@ impl Replayer {
                 }
                 self.rows.push(format!(
                     "    {{\"step\": {step}, \"op\": \"{op}\", \"status\": \"infeasible\", \
-                     \"error\": \"{a}\", \"bit_identical\": {bit}, \"micros\": {micros}}}"
+                     \"error\": {}, \"bit_identical\": {bit}, \"micros\": {micros}}}",
+                    json_str(&a.to_string())
                 ));
             }
             (inc, _) => {
@@ -239,11 +218,11 @@ impl Replayer {
     /// session's label), root, and concatenated traces.
     pub fn report(&self) -> String {
         format!(
-            "{{\n  \"benchmark\": \"msrnet_edits\",\n  \"net\": \"{}\",\n  \
+            "{{\n  \"benchmark\": \"msrnet_edits\",\n  \"net\": {},\n  \
              \"root\": {},\n  \"edits\": {},\n  \"applied\": {},\n  \
              \"rejected\": {},\n  \"escalations\": {},\n  \
              \"mismatches\": {},\n  \"steps\": [\n{}\n  ]\n}}\n",
-            self.label,
+            json_str(&self.label),
             self.initial_root.0,
             self.edits_seen,
             self.applied,

@@ -29,6 +29,7 @@
 
 use msrnet_batch::{run_batch_curves, BatchJob};
 use msrnet_core::{MsriOptions, TerminalOptions};
+use msrnet_incremental::json::{json_num, json_str};
 use msrnet_rctree::TerminalId;
 
 use crate::design::{stage_delay, Design, PinDir, TimingError};
@@ -398,34 +399,6 @@ fn baked_job(design: &Design, timing: &Timing, i: usize, tmax: f64) -> BatchJob 
     }
 }
 
-/// A finite float as JSON, non-finite as `null`.
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +503,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"benchmark\": \"msrnet_timing\""));
         assert!(!a.contains("wall"));
-        assert_eq!(json_num(f64::INFINITY), "null");
     }
 }

@@ -41,9 +41,8 @@
 //! 2. `sink_load_monotonicity` — increasing a sink's required time `q`
 //!    or its pin capacitance can only increase the ARD.
 //! 3. `pruning_strategies_agree` — divide-and-conquer MFS, naive MFS,
-//!    whole-domain-only pruning, the cost-bucketed sorted sweep and the
-//!    approximate sweep at `eps = 0` must yield the same (cost, ARD)
-//!    frontier values.
+//!    whole-domain-only pruning and the sorted sweep at `eps = 0`
+//!    must yield the same (cost, ARD) frontier values.
 //! 4. `rooting_invariance` — the ARD does not depend on which terminal
 //!    the traversal is rooted at.
 //! 5. `edit_inverse_restores_frontier` — applying an edit and its exact
@@ -689,25 +688,19 @@ fn open_session(inst: &Instance) -> IncrementalOptimizer {
     )
 }
 
-/// Bit-level curve equality, values *and* realizations.
+/// Bit-level curve equality, values *and* realizations, naming the
+/// first difference.
 fn curves_bit_eq(a: &TradeoffCurve, b: &TradeoffCurve) -> Result<(), String> {
-    if a.len() != b.len() {
-        return Err(format!("frontier sizes differ: {} vs {}", a.len(), b.len()));
+    let Some(i) = a.first_bit_difference(b) else {
+        return Ok(());
+    };
+    match (a.points().get(i), b.points().get(i)) {
+        (Some(pa), Some(pb)) if a.len() == b.len() => Err(format!(
+            "point {i} not bit-identical: ({}, {}) vs ({}, {})",
+            pa.cost, pa.ard, pb.cost, pb.ard
+        )),
+        _ => Err(format!("frontier sizes differ: {} vs {}", a.len(), b.len())),
     }
-    for (i, (pa, pb)) in a.points().iter().zip(b.points()).enumerate() {
-        if pa.cost.to_bits() != pb.cost.to_bits()
-            || pa.ard.to_bits() != pb.ard.to_bits()
-            || pa.assignment != pb.assignment
-            || pa.terminal_choices != pb.terminal_choices
-            || pa.wire_choices != pb.wire_choices
-        {
-            return Err(format!(
-                "point {i} not bit-identical: ({}, {}) vs ({}, {})",
-                pa.cost, pa.ard, pb.cost, pb.ard
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn check_incremental_vs_scratch(inst: &Instance) -> CheckOutcome {
@@ -1290,7 +1283,6 @@ fn check_pruning_strategies_agree(inst: &Instance) -> CheckOutcome {
         ("divide_conquer", PruningStrategy::DivideConquer),
         ("naive", PruningStrategy::Naive),
         ("whole_domain", PruningStrategy::WholeDomainOnly),
-        ("bucketed", PruningStrategy::Bucketed),
         ("approx_eps0", PruningStrategy::Approximate { eps: 0.0 }),
     ];
     type FrontierResult = Result<Vec<(f64, f64)>, MsriError>;

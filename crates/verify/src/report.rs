@@ -9,6 +9,7 @@
 use crate::checks::{registry, run_check, CheckKind, CheckOutcome};
 use crate::gen::{generate, Instance};
 use crate::shrink::{shrink, ShrinkResult};
+use msrnet_incremental::json::{json_num, json_str};
 use std::time::Instant;
 
 /// Configuration of one verification run.
@@ -270,34 +271,6 @@ fn build_failure(inst: &Instance, index: usize, check: &str, detail: String) -> 
         terminals_before,
         terminals_after,
     }
-}
-
-/// `null` for non-finite values, per the schema.
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
