@@ -21,6 +21,11 @@
 //!   shorthand `Foo { a }` binds `a`).
 //! * Macro invocations re-parse their token soup as a comma-separated
 //!   expression list; what does not parse becomes opaque children.
+//! * Attributes are read only to decide what is test code, and only on
+//!   items: a `#[cfg(test)]` statement inside a function body is
+//!   linted as production code.
+
+use std::ops::Range;
 
 use crate::lexer::{Lexed, Token, TokenKind};
 
@@ -74,6 +79,13 @@ pub enum Vis {
 pub struct Item {
     /// What the item is.
     pub kind: ItemKind,
+    /// Byte range of the item, from its first attribute to its last
+    /// token.
+    pub bytes: Range<usize>,
+    /// Whether the item is test-only: it carries `#[test]`, `#[bench]`,
+    /// `#[cfg(test)]` or `#[cfg(all(…))]` with `test` as a direct
+    /// argument, or sits inside an item that does.
+    pub test: bool,
 }
 
 /// Item classification.
@@ -401,6 +413,50 @@ pub fn walk_block<'a>(b: &'a Block, f: &mut dyn FnMut(&'a Expr)) {
     }
 }
 
+/// The byte ranges of the outermost test items among `items` and the
+/// modules, impls and traits nested in them, in source order. The
+/// token lints and marker parsing skip these ranges.
+pub fn test_spans(items: &[Item]) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    for item in items {
+        if item.test {
+            out.push(item.bytes.clone());
+            continue;
+        }
+        if let ItemKind::Mod { items, .. }
+        | ItemKind::Impl { items, .. }
+        | ItemKind::Trait { items, .. } = &item.kind
+        {
+            out.extend(test_spans(items));
+        }
+    }
+    out
+}
+
+/// Whether an attribute body (the tokens inside `#[…]`) makes its item
+/// test-only: `test`, `bench`, `cfg(test)`, or `cfg(all(…))` with
+/// `test` as a direct argument. Everything else, `cfg_attr(test, …)`,
+/// `cfg(not(test))` and `cfg(any(test, …))` included, is built into
+/// production and stays linted.
+fn attr_is_test(body: &[&str]) -> bool {
+    match body {
+        ["test"] | ["bench"] | ["cfg", "(", "test", ")"] => true,
+        ["cfg", "(", "all", "(", args @ .., ")", ")"] => {
+            let mut depth = 0usize;
+            args.split(|&t| {
+                match t {
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth = depth.saturating_sub(1),
+                    _ => {}
+                }
+                t == "," && depth == 0
+            })
+            .any(|arg| arg == ["test"])
+        }
+        _ => false,
+    }
+}
+
 /// Parses a lexed file into its items. Never fails.
 pub fn parse_file(source: &str, lexed: &Lexed) -> Vec<Item> {
     let mut p = Parser {
@@ -408,6 +464,7 @@ pub fn parse_file(source: &str, lexed: &Lexed) -> Vec<Item> {
         toks: &lexed.tokens,
         pos: 0,
         no_struct: false,
+        in_test: false,
         fuel: lexed.tokens.len() * 16 + 1024,
     };
     p.items(None)
@@ -425,6 +482,9 @@ struct Parser<'a> {
     /// Set while parsing `if`/`while`/`for`/`match` head expressions,
     /// where `Path { … }` is a block, not a struct literal.
     no_struct: bool,
+    /// Set while parsing inside a test item (or after an inner test
+    /// attribute), so every nested item is test code too.
+    in_test: bool,
     /// Hard bound on total work so malformed input can never loop.
     fuel: usize,
 }
@@ -533,24 +593,40 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Skips outer/inner attributes at the cursor.
-    fn skip_attrs(&mut self) {
-        loop {
-            if !self.at("#") {
-                return;
+    /// Byte offset of the token at the cursor (end of input past it).
+    fn offset(&self) -> usize {
+        self.tok(0).map_or(self.src.len(), |t| t.start)
+    }
+
+    /// Consumes the outer and inner attributes at the cursor, returning
+    /// whether an outer one makes the next item test-only. An inner
+    /// test attribute (`#![cfg(test)]`) makes the rest of the enclosing
+    /// module test code.
+    fn attrs(&mut self) -> bool {
+        let mut test = false;
+        while self.at("#") {
+            let inner = self.text(1) == "!";
+            let open = if inner { 2 } else { 1 };
+            if self.text(open) != "[" {
+                break;
             }
-            let mut j = 1;
-            if self.text(j) == "!" {
-                j += 1;
-            }
-            if self.text(j) != "[" {
-                return;
-            }
-            for _ in 0..j {
+            for _ in 0..open {
                 self.bump();
             }
+            let from = self.pos + 1;
             self.skip_balanced();
+            // The body ends before the closing `]`.
+            let to = self.pos.saturating_sub(1).max(from);
+            let body: Vec<&str> = self.toks[from..to].iter().map(|t| t.text(self.src)).collect();
+            if attr_is_test(&body) {
+                if inner {
+                    self.in_test = true;
+                } else {
+                    test = true;
+                }
+            }
         }
+        test
     }
 
     // ------------------------------------------------------------------
@@ -581,7 +657,29 @@ impl<'a> Parser<'a> {
 
     /// Parses one item, returning `None` for skipped tokens.
     fn item(&mut self) -> Option<Item> {
-        self.skip_attrs();
+        let start = self.offset();
+        let test = self.attrs();
+        self.item_after_attrs(start, test)
+    }
+
+    /// Parses the item whose attributes, starting at byte `start`, were
+    /// just consumed; `test` says whether one of them marks test code.
+    fn item_after_attrs(&mut self, start: usize, test: bool) -> Option<Item> {
+        let scope = self.in_test;
+        let test = test || scope;
+        self.in_test = test;
+        let kind = self.item_kind();
+        self.in_test = scope;
+        let end = self.pos.checked_sub(1).and_then(|i| self.toks.get(i)).map_or(start, |t| t.end);
+        kind.map(|kind| Item {
+            kind,
+            bytes: start..end.max(start),
+            test,
+        })
+    }
+
+    /// Parses one item after its attributes.
+    fn item_kind(&mut self) -> Option<ItemKind> {
         let vis = self.visibility();
         // Function qualifiers.
         loop {
@@ -598,28 +696,18 @@ impl<'a> Parser<'a> {
         match self.text(0) {
             "fn" => {
                 self.bump();
-                Some(Item {
-                    kind: ItemKind::Fn(self.fn_def(vis)),
-                })
+                Some(ItemKind::Fn(self.fn_def(vis)))
             }
             "mod" => {
                 self.bump();
                 let name = self.ident_text();
-                if self.eat("{") {
-                    let items = self.items(Some("}"));
-                    Some(Item {
-                        kind: ItemKind::Mod { name, vis, items },
-                    })
+                let items = if self.eat("{") {
+                    self.items(Some("}"))
                 } else {
                     self.eat(";");
-                    Some(Item {
-                        kind: ItemKind::Mod {
-                            name,
-                            vis,
-                            items: Vec::new(),
-                        },
-                    })
-                }
+                    Vec::new()
+                };
+                Some(ItemKind::Mod { name, vis, items })
             }
             "impl" => {
                 self.bump();
@@ -636,16 +724,14 @@ impl<'a> Parser<'a> {
                 self.skip_type(&["{", ";"]);
                 if self.eat("{") {
                     let items = self.items(Some("}"));
-                    Some(Item {
-                        kind: ItemKind::Impl {
-                            self_ty,
-                            trait_name,
-                            items,
-                        },
+                    Some(ItemKind::Impl {
+                        self_ty,
+                        trait_name,
+                        items,
                     })
                 } else {
                     self.eat(";");
-                    Some(Item { kind: ItemKind::Other })
+                    Some(ItemKind::Other)
                 }
             }
             "trait" => {
@@ -654,12 +740,10 @@ impl<'a> Parser<'a> {
                 self.skip_type(&["{", ";"]);
                 if self.eat("{") {
                     let items = self.items(Some("}"));
-                    Some(Item {
-                        kind: ItemKind::Trait { name, items },
-                    })
+                    Some(ItemKind::Trait { name, items })
                 } else {
                     self.eat(";");
-                    Some(Item { kind: ItemKind::Other })
+                    Some(ItemKind::Other)
                 }
             }
             "use" => {
@@ -667,9 +751,7 @@ impl<'a> Parser<'a> {
                 let mut imports = Vec::new();
                 self.use_tree(Vec::new(), &mut imports);
                 self.eat(";");
-                Some(Item {
-                    kind: ItemKind::Use(imports),
-                })
+                Some(ItemKind::Use(imports))
             }
             "struct" | "enum" | "union" | "type" | "static" | "const" => {
                 // Skip to the terminating `;` or the end of a braced
@@ -690,14 +772,14 @@ impl<'a> Parser<'a> {
                         _ => self.bump(),
                     }
                 }
-                Some(Item { kind: ItemKind::Other })
+                Some(ItemKind::Other)
             }
             "macro_rules" => {
                 self.bump();
                 self.eat("!");
                 self.ident_text();
                 self.skip_balanced();
-                Some(Item { kind: ItemKind::Other })
+                Some(ItemKind::Other)
             }
             "extern" => {
                 // `extern { … }` / `extern crate x;`
@@ -710,7 +792,7 @@ impl<'a> Parser<'a> {
                 } else {
                     self.eat(";");
                 }
-                Some(Item { kind: ItemKind::Other })
+                Some(ItemKind::Other)
             }
             _ => None,
         }
@@ -950,7 +1032,8 @@ impl<'a> Parser<'a> {
                 continue;
             }
             let before = self.pos;
-            self.skip_attrs();
+            let start = self.offset();
+            let test = self.attrs();
             if self.at("let") {
                 self.bump();
                 let names = self.pattern(&[":", "=", ";"]);
@@ -982,7 +1065,7 @@ impl<'a> Parser<'a> {
                 || (self.at("const") && self.text(1) != "{")
                 || (self.at("unsafe") && matches!(self.text(1), "fn" | "impl" | "trait" | "extern"))
             {
-                if let Some(item) = self.item() {
+                if let Some(item) = self.item_after_attrs(start, test) {
                     stmts.push(Stmt::Item(item));
                 }
             } else {
@@ -1278,7 +1361,7 @@ impl<'a> Parser<'a> {
                 let mut arms = Vec::new();
                 if self.eat("{") {
                     while !self.done() && !self.at("}") {
-                        self.skip_attrs();
+                        self.attrs();
                         let from = self.pos;
                         // Pattern runs to `=>` or a depth-0 `if` guard.
                         while !self.done() && !self.at("=>") && !self.at("if") {
@@ -2010,6 +2093,89 @@ mod tests {
         ] {
             let _ = parse(src);
         }
+    }
+
+    fn in_test_span(src: &str, needle: &str) -> bool {
+        let at = src.find(needle).expect("needle present");
+        test_spans(&parse(src)).iter().any(|r| r.contains(&at))
+    }
+
+    #[test]
+    fn cfg_test_module_is_test_code() {
+        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn also_prod() {}\n";
+        assert_eq!(test_spans(&parse(src)).len(), 1);
+        assert!(in_test_span(src, "unwrap"));
+        assert!(!in_test_span(src, "prod"));
+        assert!(!in_test_span(src, "also_prod"));
+        // Items nested in a test item are test code too.
+        let items = parse(src);
+        assert!(!items[0].test && items[1].test);
+        match &items[1].kind {
+            ItemKind::Mod { items, .. } => assert!(items[0].test),
+            k => panic!("{k:?}"),
+        }
+    }
+
+    #[test]
+    fn test_and_bench_fns_are_test_code() {
+        let src = "#[test]\nfn check() { assert!(x.unwrap()); }\n#[bench]\nfn b() { y.expect(\"e\"); }\nfn prod() {}\n";
+        assert!(in_test_span(src, "unwrap"));
+        assert!(in_test_span(src, "expect"));
+        assert!(!in_test_span(src, "prod"));
+    }
+
+    #[test]
+    fn stacked_attributes_are_covered() {
+        let src = "#[allow(unused)]\n#[cfg(test)]\n#[allow(dead_code)]\nmod tests { fn f() {} }\nfn prod() {}\n";
+        assert!(in_test_span(src, "unused"));
+        assert!(in_test_span(src, "dead_code"));
+        assert!(in_test_span(src, "fn f"));
+        assert!(!in_test_span(src, "prod"));
+    }
+
+    #[test]
+    fn nested_braces_close_correctly() {
+        let src = "#[cfg(test)]\nmod tests { fn a() { if x { y() } } fn b() {} }\nfn prod() {}\n";
+        assert!(in_test_span(src, "fn b"));
+        assert!(!in_test_span(src, "prod"));
+    }
+
+    #[test]
+    fn cfg_all_with_direct_test_is_test_code() {
+        let src = "#[cfg(all(test, feature = \"x\"))]\nmod helpers { fn h() {} }\n";
+        assert!(in_test_span(src, "fn h"));
+        // `test` under `not` inside `all` is not a direct argument.
+        let src = "#[cfg(all(not(test), unix))]\nmod helpers { fn h() {} }\n";
+        assert!(!in_test_span(src, "fn h"));
+    }
+
+    #[test]
+    fn production_cfgs_mentioning_test_are_not_test_code() {
+        for attr in [
+            "#[cfg_attr(test, inline)]",
+            "#[cfg(not(test))]",
+            "#[cfg(any(test, feature = \"x\"))]",
+            "#[derive(Debug)]",
+            "#[inline]",
+        ] {
+            let src = format!("{attr}\npub fn prod(o: Option<u32>) -> u32 {{ o.unwrap() }}\n");
+            assert!(!in_test_span(&src, "unwrap"), "{attr} marked test");
+        }
+    }
+
+    #[test]
+    fn inner_test_attribute_marks_the_rest_of_the_module() {
+        let src = "mod m {\n    #![cfg(test)]\n    fn t() { x.unwrap(); }\n}\nfn prod() {}\n";
+        assert!(in_test_span(src, "unwrap"));
+        assert!(!in_test_span(src, "prod"));
+    }
+
+    #[test]
+    fn item_bytes_cover_attributes_through_last_token() {
+        let src = "use a::b;\n#[inline]\npub fn f() { g(); }\n";
+        let items = parse(src);
+        assert_eq!(&src[items[0].bytes.clone()], "use a::b;");
+        assert_eq!(&src[items[1].bytes.clone()], "#[inline]\npub fn f() { g(); }");
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //! caller-controlled slice; `self.field[i]` is excluded as
 //! invariant-protected). Sites carrying a site-level
 //! `msrnet-allow: panic` marker are audited and do not propagate. Any
-//! `pub fn` of a library crate that can transitively reach an
-//! unaudited site is flagged **at the entry point**, with the
-//! shortest call chain in the diagnostic, turning the per-site P1
-//! policy into a whole-program guarantee.
+//! library entry point that can transitively reach an unaudited site
+//! is flagged **at the entry point**, with the shortest call chain in
+//! the diagnostic. Entry points are the `pub fn`s of library crates
+//! plus every trait-side method there, which std calls with no call
+//! the graph can see (see [`crate::resolve::FnInfo::is_entry`]). A
+//! panic site no entry point reaches sits in dead code, which rustc's
+//! `dead_code` lint already reports.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::ast::{walk_block, Expr, ExprKind, Span, Vis};
-use crate::lints::FileKind;
 use crate::report::{Diagnostic, Lint};
 use crate::resolve::Registry;
 
@@ -224,10 +226,10 @@ pub fn panic_sites(reg: &Registry, fn_idx: usize) -> Vec<PanicSite> {
 ///
 /// `site_holders` maps a function index to the (path, line, what) of
 /// its first unaudited panic site — only functions with at least one
-/// unaudited site appear. Returns one diagnostic per public
-/// library-crate entry point that can reach a site, positioned at the
-/// entry's name token, with the shortest call chain rendered in the
-/// message and stored in the diagnostic chain field.
+/// unaudited site appear. Returns one diagnostic per entry point
+/// ([`crate::resolve::FnInfo::is_entry`]) that can reach a site,
+/// positioned at the entry's name token, with the shortest call chain
+/// rendered in the message and stored in the diagnostic chain field.
 pub fn check_panic_reachability(
     reg: &Registry,
     graph: &CallGraph,
@@ -240,7 +242,7 @@ pub fn check_panic_reachability(
     let can_reach = graph.reaches(&targets);
     let mut out = Vec::new();
     for (i, f) in reg.fns.iter().enumerate() {
-        if f.vis != Vis::Pub || f.kind != FileKind::Library || f.is_test || !can_reach[i] {
+        if !f.is_entry() || !can_reach[i] {
             continue;
         }
         let Some(chain) = graph.shortest_chain(i, &targets) else {
@@ -260,7 +262,7 @@ pub fn check_panic_reachability(
             len: f.span.len,
             snippet: f.name.clone(),
             message: format!(
-                "public API `{}` can reach a panic: {} at {}:{} via {}; make the chain \
+                "entry point `{}` can reach a panic: {} at {}:{} via {}; make the chain \
                  infallible (return Result / use `.get()`), audit the site with \
                  `msrnet-allow: panic <reason>`, or justify the entry with \
                  `msrnet-allow: panic-reach <reason>`",
@@ -277,23 +279,20 @@ mod tests {
     use super::*;
     use crate::ast::parse_file;
     use crate::lexer::lex;
+    use crate::lints::FileKind;
     use crate::resolve::SourceUnit;
-    use crate::scopes::{find_test_regions, TestRegions};
 
     struct Parsed {
         crate_name: String,
         path: String,
         items: Vec<crate::ast::Item>,
-        regions: TestRegions,
     }
 
     fn parsed(crate_name: &str, path: &str, src: &str) -> Parsed {
-        let lexed = lex(src);
         Parsed {
             crate_name: crate_name.to_string(),
             path: path.to_string(),
-            items: parse_file(src, &lexed),
-            regions: find_test_regions(src, &lexed),
+            items: parse_file(src, &lex(src)),
         }
     }
 
@@ -305,7 +304,6 @@ mod tests {
                 path: &p.path,
                 kind: FileKind::Library,
                 items: &p.items,
-                regions: &p.regions,
             })
             .collect();
         let deps: Vec<(String, Vec<String>)> = files

@@ -10,25 +10,26 @@
 //! | lint | invariant |
 //! |------|-----------|
 //! | `D1` | no `HashMap`/`HashSet` in non-test code (iteration order) |
-//! | `D2` | no `partial_cmp` orderings (NaN-unsafe; use `total_cmp`) |
 //! | `D3` | no float `==`/`!=` against float literals outside tests |
-//! | `P1` | no `unwrap`/`expect`/`panic!` in library non-test code |
 //! | `L1` | crate dependencies respect the layering DAG, acyclically |
 //! | `W1` | wall-clock and `std::env` reads confined to bench/cli |
-//! | `S1` | no public library API transitively reaches an unaudited panic site (call-graph) |
+//! | `S1` | no library entry point (`pub fn` or trait-side method) transitively reaches an unaudited panic site (call-graph) |
 //! | `S2` | no DP solve, blocking I/O or re-acquisition while holding a lock; acquisition order acyclic |
-//! | `S3` | no possibly-NaN value reaches a `total_cmp`/`partial_cmp` ordering unguarded |
+//! | `S3` | no `partial_cmp` call, and no possibly-NaN value reaches a `total_cmp` ordering unguarded |
 //! | `M1` | `msrnet-allow` markers are well-formed and all used |
 //!
-//! The token lints (`D*`, `P1`, `W1`) work on the lexed stream; the
-//! semantic lints (`S*`) run on an in-house tolerant AST with
-//! module/`use` resolution and a workspace-wide call graph — see
-//! [`ast`], [`resolve`] and [`callgraph`].
+//! One parse decides what is test code ([`ast::Item::test`]): every
+//! lint skips it. The token lints (`D1`, `D3`, `W1`) work on the lexed
+//! stream, because the AST skips types; the semantic lints (`S*`) run
+//! on an in-house tolerant AST with module/`use` resolution and a
+//! workspace-wide call graph — see [`ast`], [`resolve`] and
+//! [`callgraph`].
 //!
 //! Any finding can be suppressed at the site with a justified
-//! `// msrnet-allow: <key> <reason>` marker (except `M1`); unused and
-//! malformed markers are themselves findings, so the suppression set
-//! can only shrink.
+//! `// msrnet-allow: <key> <reason>` marker (except `M1`), and a
+//! `panic` marker audits one S1 panic site; unused and malformed
+//! markers are themselves findings, so the suppression set can only
+//! shrink.
 //!
 //! The analyzer has zero external dependencies — an in-house token
 //! scanner with the same offline discipline as `crates/rng` — and its
@@ -47,6 +48,11 @@
 //! let analysis = analyze_file(&ctx, "fn k(a: f64, b: f64) -> bool { a == 0.5 }\n");
 //! assert_eq!(analysis.diagnostics.len(), 1);
 //! assert_eq!(analysis.diagnostics[0].lint.id(), "D3");
+//!
+//! // `partial_cmp` is S3; the `.unwrap()` is S1 at the public entry.
+//! let src = "pub fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
+//! let ids: Vec<&str> = analyze_file(&ctx, src).diagnostics.iter().map(|d| d.lint.id()).collect();
+//! assert_eq!(ids, ["S1", "S3"]);
 //! ```
 
 #![warn(missing_docs)]
@@ -60,7 +66,6 @@ pub mod resolve;
 pub mod manifest;
 pub mod markers;
 pub mod report;
-pub mod scopes;
 pub mod taint;
 
 use std::collections::BTreeMap;
@@ -69,9 +74,8 @@ use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
 use locks::LockCheck;
-use markers::MarkerSet;
+use markers::{MarkerSet, PANIC_AUDIT};
 use resolve::{Registry, SourceUnit};
-use scopes::TestRegions;
 
 pub use lints::{FileAnalysis, FileCtx, FileKind};
 pub use manifest::{check_cycles, check_layering, parse_manifest, workspace_layers, Manifest};
@@ -93,8 +97,9 @@ impl std::fmt::Display for AnalyzeError {
 
 impl std::error::Error for AnalyzeError {}
 
-/// Crates whose `src/` is front-end code: P1/W1 exempt (they parse
-/// arguments, read clocks and may panic on broken invariants).
+/// Crates whose `src/` is front-end code: W1 exempt and never S1 entry
+/// points (they parse arguments, read clocks and may panic on broken
+/// invariants).
 const FRONT_END_CRATES: &[&str] = &["msrnet-cli", "msrnet-bench"];
 
 /// One source file handed to [`analyze_sources`].
@@ -123,36 +128,31 @@ pub struct SourcesAnalysis {
 
 /// Analyzes a set of source files together, in three phases:
 ///
-/// 1. **token lints** per file (D1/D2/D3/P1/W1), suppressing against
-///    each file's `msrnet-allow` markers, which stay alive;
+/// 1. **parse and token lints** per file: the AST marks test code,
+///    and D1/D3/W1 run outside it, suppressing against each file's
+///    `msrnet-allow` markers, which stay alive;
 /// 2. **semantic lints** over the cross-file symbol table and call
 ///    graph — S1 panic-reachability (with site-level `panic` audits
-///    consuming the same markers as P1), S2 lock-discipline, S3
-///    NaN-taint — suppressed against the same marker sets;
+///    consuming markers), S2 lock-discipline, S3 NaN ordering —
+///    suppressed against the same marker sets;
 /// 3. **marker hygiene** (M1), last, so a marker used by *any* phase
 ///    is not reported as unused.
 ///
 /// `deps` lists each crate's workspace dependencies (package names),
 /// used for `use`-resolution and the method-call over-approximation.
 pub fn analyze_sources(files: &[SourceFile], deps: &[(String, Vec<String>)]) -> SourcesAnalysis {
-    struct Prep {
-        items: Vec<ast::Item>,
-        regions: TestRegions,
-    }
-
     // Phase 1: lex, parse, token lints; markers stay alive.
-    let mut preps: Vec<Prep> = Vec::with_capacity(files.len());
+    let mut parsed: Vec<Vec<ast::Item>> = Vec::with_capacity(files.len());
     let mut marker_sets: Vec<MarkerSet> = Vec::with_capacity(files.len());
     let mut out = SourcesAnalysis::default();
     for f in files {
         let lexed = lexer::lex(&f.text);
-        let regions = scopes::find_test_regions(&f.text, &lexed);
         let items = ast::parse_file(&f.text, &lexed);
-        let phase = lints::token_phase(&f.ctx, &f.text, &lexed, &regions);
+        let phase = lints::token_phase(&f.ctx, &f.text, &lexed, &ast::test_spans(&items));
         out.diagnostics.extend(phase.diagnostics);
         out.suppressed += phase.suppressed;
         marker_sets.push(phase.markers);
-        preps.push(Prep { items, regions });
+        parsed.push(items);
     }
     let by_path: BTreeMap<&str, usize> = files
         .iter()
@@ -163,13 +163,12 @@ pub fn analyze_sources(files: &[SourceFile], deps: &[(String, Vec<String>)]) -> 
     // Phase 2: symbol table, call graph, semantic lints.
     let units: Vec<SourceUnit<'_>> = files
         .iter()
-        .zip(&preps)
-        .map(|(f, p)| SourceUnit {
+        .zip(&parsed)
+        .map(|(f, items)| SourceUnit {
             crate_name: &f.ctx.crate_name,
             path: &f.ctx.path,
             kind: f.ctx.kind,
-            items: &p.items,
-            regions: &p.regions,
+            items,
         })
         .collect();
     let reg = Registry::build(&units, deps);
@@ -181,22 +180,21 @@ pub fn analyze_sources(files: &[SourceFile], deps: &[(String, Vec<String>)]) -> 
     };
 
     // S1 — panic-reachability. A site carrying a site-level `panic`
-    // marker is audited: the audit consumes the marker exactly like a
-    // P1 suppression would, so index-site audits don't read as unused.
+    // marker is audited, which uses the marker up.
     let mut site_holders: BTreeMap<usize, (String, u32, String)> = BTreeMap::new();
     for i in 0..reg.fns.len() {
         let f = &reg.fns[i];
         if f.is_test {
             continue;
         }
-        if f.vis == ast::Vis::Pub && f.kind == FileKind::Library {
+        if f.is_entry() {
             out.semantic.entry_points += 1;
         }
         let midx = by_path.get(f.path.as_str()).copied();
         for site in callgraph::panic_sites(&reg, i) {
             out.semantic.panic_sites += 1;
             let audited =
-                midx.is_some_and(|m| marker_sets[m].suppresses(Lint::P1, site.span.line));
+                midx.is_some_and(|m| marker_sets[m].suppresses(PANIC_AUDIT, site.span.line));
             if audited {
                 out.semantic.audited_sites += 1;
             } else {
@@ -213,9 +211,9 @@ pub fn analyze_sources(files: &[SourceFile], deps: &[(String, Vec<String>)]) -> 
     out.semantic.lock_sites = lock_sites;
     sem_diags.extend(s2);
 
-    // S3 — NaN-taint, per file.
-    for (f, p) in files.iter().zip(&preps) {
-        let t = taint::check_file(&f.ctx.path, &p.items, &p.regions);
+    // S3 — NaN ordering, per file.
+    for (f, items) in files.iter().zip(&parsed) {
+        let t = taint::check_file(&f.ctx.path, items);
         out.semantic.taint_sources += t.sources;
         out.semantic.taint_sinks += t.sinks;
         sem_diags.extend(t.diags);
@@ -225,7 +223,7 @@ pub fn analyze_sources(files: &[SourceFile], deps: &[(String, Vec<String>)]) -> 
         let suppressed = by_path
             .get(d.path.as_str())
             .copied()
-            .is_some_and(|m| marker_sets[m].suppresses(d.lint, d.line));
+            .is_some_and(|m| marker_sets[m].suppresses(d.lint.marker_key(), d.line));
         if suppressed {
             out.suppressed += 1;
         } else {
@@ -407,21 +405,4 @@ fn relative_path(root: &Path, file: &Path) -> String {
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn doc_example_compiles_and_fires() {
-        let ctx = FileCtx {
-            crate_name: "msrnet-core".to_string(),
-            path: "x.rs".to_string(),
-            kind: FileKind::Library,
-        };
-        let a = analyze_file(&ctx, "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n");
-        assert!(a.diagnostics.iter().any(|d| d.lint == Lint::D2));
-        assert!(a.diagnostics.iter().any(|d| d.lint == Lint::P1));
-    }
 }

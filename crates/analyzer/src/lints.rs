@@ -1,16 +1,21 @@
-//! The token-level lints: D1, D2, D3, P1, W1.
+//! The token-level lints: D1, D3, W1.
 //!
-//! Each lint walks the lexed token stream of one file, skipping test
-//! regions, and emits [`Diagnostic`]s at exact spans. Marker
-//! suppression happens in [`token_phase`]; marker hygiene (`M1`) is
-//! deferred to the end of the multi-file pipeline
+//! Each lint walks the lexed token stream of one file, skipping the
+//! test items the AST found ([`crate::ast::test_spans`]), and emits
+//! [`Diagnostic`]s at exact spans. They stay token-level because the
+//! AST skips types, and D1 must see `HashMap` in fields and
+//! signatures.
+//!
+//! Marker suppression happens in [`token_phase`]; marker hygiene
+//! (`M1`) is deferred to the end of the multi-file pipeline
 //! ([`crate::analyze_sources`]) so the semantic passes can still
 //! consume site-level audits before "unused marker" is decided.
+
+use std::ops::Range;
 
 use crate::lexer::{is_float_literal, Lexed, Token, TokenKind};
 use crate::markers::MarkerSet;
 use crate::report::{Diagnostic, Lint};
-use crate::scopes::TestRegions;
 
 /// What kind of code a file holds, which decides lint applicability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,9 +23,9 @@ pub enum FileKind {
     /// Library source (`src/` of a lib crate): every lint applies.
     Library,
     /// Front-end source (cli/bench `src/`, `src/bin/`): determinism
-    /// lints apply, but P1 (panic policy) and W1 (wall clock) do not —
-    /// binaries may panic on broken invariants and must read clocks,
-    /// arguments and the environment.
+    /// lints apply, but W1 (wall clock) does not and S1 takes no entry
+    /// points here — binaries may panic on broken invariants and must
+    /// read clocks, arguments and the environment.
     FrontEnd,
 }
 
@@ -58,16 +63,18 @@ pub struct TokenPhase {
     pub markers: MarkerSet,
 }
 
-/// Runs the token lints and marker suppression over one lexed file.
-/// `M1` (malformed/unused markers) is *not* emitted here — the caller
-/// reports it after every phase has had its chance to use a marker.
+/// Runs the token lints and marker suppression over one lexed file,
+/// skipping the byte ranges in `test_spans`. `M1` (malformed/unused
+/// markers) is *not* emitted here — the caller reports it after every
+/// phase has had its chance to use a marker.
 pub fn token_phase(
     ctx: &FileCtx,
     text: &str,
     lexed: &Lexed,
-    regions: &TestRegions,
+    test_spans: &[Range<usize>],
 ) -> TokenPhase {
-    // Markers inside test regions are invisible: test code needs no
+    let in_test = |at: usize| test_spans.iter().any(|r| r.contains(&at));
+    // Markers inside test code are invisible: test code needs no
     // suppressions, and fixture-style comments there must not count as
     // unused markers.
     let line_starts = line_start_offsets(text);
@@ -79,7 +86,7 @@ pub fn token_phase(
                 .get(c.line as usize - 1)
                 .copied()
                 .unwrap_or(usize::MAX);
-            !regions.contains(off)
+            !in_test(off)
         })
         .cloned()
         .collect();
@@ -89,9 +96,9 @@ pub fn token_phase(
     };
 
     let mut raw: Vec<Diagnostic> = Vec::new();
-    lint_tokens(ctx, text, lexed, regions, &mut raw);
+    lint_tokens(ctx, text, lexed, &in_test, &mut raw);
     for d in raw {
-        if out.markers.suppresses(d.lint, d.line) {
+        if out.markers.suppresses(d.lint.marker_key(), d.line) {
             out.suppressed += 1;
         } else {
             out.diagnostics.push(d);
@@ -128,7 +135,7 @@ fn lint_tokens(
     ctx: &FileCtx,
     text: &str,
     lexed: &Lexed,
-    regions: &TestRegions,
+    in_test: &dyn Fn(usize) -> bool,
     out: &mut Vec<Diagnostic>,
 ) {
     let toks = &lexed.tokens;
@@ -137,7 +144,7 @@ fn lint_tokens(
     };
     for i in 0..toks.len() {
         let t = &toks[i];
-        if regions.contains(t.start) {
+        if in_test(t.start) {
             continue;
         }
         let word = t.text(text);
@@ -156,53 +163,6 @@ fn lint_tokens(
                         &word[4..]
                     ),
                 )),
-                // D2 — NaN-unsafe orderings. Any `partial_cmp` call is
-                // flagged: as a comparator or sort key it returns None
-                // on NaN, and every workspace ordering is required to
-                // be total (`total_cmp`).
-                "partial_cmp" if tx(i + 1) == "(" => out.push(diag(
-                    ctx,
-                    Lint::D2,
-                    t,
-                    text,
-                    "NaN-unsafe ordering: `partial_cmp` is not total; use `f64::total_cmp` \
-                     (or justify with `msrnet-allow: nan-ord <reason>`)"
-                        .to_string(),
-                )),
-                // P1 — panic policy for library code.
-                "unwrap" | "expect"
-                    if ctx.kind == FileKind::Library
-                        && i > 0
-                        && tx(i - 1) == "."
-                        && tx(i + 1) == "(" =>
-                {
-                    out.push(diag(
-                        ctx,
-                        Lint::P1,
-                        t,
-                        text,
-                        format!(
-                            "`.{word}()` in library-crate non-test code can panic in production; \
-                             return a Result, or justify the invariant with \
-                             `msrnet-allow: panic <reason>`"
-                        ),
-                    ));
-                }
-                "panic" | "unreachable" | "todo" | "unimplemented"
-                    if ctx.kind == FileKind::Library && tx(i + 1) == "!" =>
-                {
-                    out.push(diag(
-                        ctx,
-                        Lint::P1,
-                        t,
-                        text,
-                        format!(
-                            "`{word}!` in library-crate non-test code can panic in production; \
-                             return a Result, or justify the invariant with \
-                             `msrnet-allow: panic <reason>`"
-                        ),
-                    ));
-                }
                 // W1 — wall clock and environment reads.
                 "Instant"
                     if ctx.kind == FileKind::Library
@@ -328,19 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn d2_flags_partial_cmp_calls_only() {
-        let src = "fn f() { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
-        let found = lints_of(&lib_ctx(), src);
-        let col = src.find("partial_cmp").expect("present") as u32 + 1;
-        assert!(found.contains(&(Lint::D2, 1, col)));
-        // The trailing `.unwrap()` is P1, separately.
-        assert!(found.iter().any(|(l, _, _)| *l == Lint::P1));
-        // A mention in a comment or string is not a call.
-        let quiet = "// partial_cmp is banned\nconst MSG: &str = \"partial_cmp\";\n";
-        assert!(lints_of(&lib_ctx(), quiet).is_empty());
-    }
-
-    #[test]
     fn d3_flags_float_literal_equality() {
         let src = "fn f(x: f64) -> bool { x == 1.0 }\n";
         let found = lints_of(&lib_ctx(), src);
@@ -351,20 +298,6 @@ mod tests {
         // NAN comparison is flagged (always false).
         let nan = "fn h(x: f64) -> bool { x == f64::NAN }\n";
         assert_eq!(lints_of(&lib_ctx(), nan).len(), 1);
-    }
-
-    #[test]
-    fn p1_flags_panics_in_libraries_but_not_front_ends() {
-        let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() }\nfn g() { panic!(\"boom\"); }\nfn h(o: Option<u32>) -> u32 { o.expect(\"set\") }\n";
-        let found = lints_of(&lib_ctx(), src);
-        assert_eq!(
-            found,
-            vec![(Lint::P1, 1, 33), (Lint::P1, 2, 10), (Lint::P1, 3, 33)]
-        );
-        assert!(lints_of(&front_ctx(), src).is_empty());
-        // unwrap_or and a method *named* expect_byte are not flagged.
-        let quiet = "fn f(o: Option<u32>) -> u32 { o.unwrap_or(0) }\nfn g(p: &mut P) { p.expect_byte(b'{'); }\n";
-        assert!(lints_of(&lib_ctx(), quiet).is_empty());
     }
 
     #[test]
@@ -387,9 +320,8 @@ mod tests {
 
     #[test]
     fn marker_on_line_above_suppresses() {
-        let src = "// msrnet-allow: panic length checked by the caller\nfn f(v: &[u32]) -> u32 { v.first().copied().expect(\"nonempty\") }\n"
-            .replace("expect(\"nonempty\")", "unwrap()");
-        let a = analyze_file(&lib_ctx(), &src);
+        let src = "// msrnet-allow: float-eq exact sentinel set by the caller\nfn f(x: f64) -> bool { x == 0.5 }\n";
+        let a = analyze_file(&lib_ctx(), src);
         assert!(a.diagnostics.is_empty());
         assert_eq!(a.suppressed, 1);
     }

@@ -571,22 +571,18 @@ mod tests {
     use crate::lexer::lex;
     use crate::lints::FileKind;
     use crate::resolve::SourceUnit;
-    use crate::scopes::{find_test_regions, TestRegions};
 
     struct Parsed {
         crate_name: String,
         path: String,
         items: Vec<crate::ast::Item>,
-        regions: TestRegions,
     }
 
     fn parsed(crate_name: &str, path: &str, src: &str) -> Parsed {
-        let lexed = lex(src);
         Parsed {
             crate_name: crate_name.to_string(),
             path: path.to_string(),
-            items: parse_file(src, &lexed),
-            regions: find_test_regions(src, &lexed),
+            items: parse_file(src, &lex(src)),
         }
     }
 
@@ -598,7 +594,6 @@ mod tests {
                 path: &p.path,
                 kind: FileKind::Library,
                 items: &p.items,
-                regions: &p.regions,
             })
             .collect();
         let deps: Vec<(String, Vec<String>)> = files

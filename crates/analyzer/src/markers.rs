@@ -6,12 +6,13 @@
 //! // msrnet-allow: <lint-key> <reason…>
 //! ```
 //!
-//! where `<lint-key>` names one of the analyzer's lints
-//! (`unordered-iter`, `nan-ord`, `float-eq`, `panic`, `wall-clock`,
-//! `layering`, `panic-reach`, `lock-discipline`, `nan-taint`) and
-//! `<reason…>` is a non-empty justification. A marker
-//! suppresses matching diagnostics on its own line (trailing comment)
-//! and on the line directly below (standalone comment line).
+//! where `<lint-key>` is one of [`MARKER_KEYS`] and `<reason…>` is a
+//! non-empty justification. A marker suppresses matching diagnostics on
+//! its own line (trailing comment) and on the line directly below
+//! (standalone comment line). Every key but `panic` suppresses the
+//! diagnostics of one lint ([`Lint::marker_key`]); `panic` audits an S1
+//! panic site on that line, so the site stops propagating to entry
+//! points.
 //!
 //! Markers are themselves linted: a malformed marker (unknown key,
 //! missing reason) and a marker that suppresses nothing both produce an
@@ -20,24 +21,26 @@
 use crate::lexer::Comment;
 use crate::report::{Diagnostic, Lint};
 
-/// Marker keys, one per suppressible lint.
-pub const MARKER_KEYS: &[(&str, Lint)] = &[
-    ("unordered-iter", Lint::D1),
-    ("nan-ord", Lint::D2),
-    ("float-eq", Lint::D3),
-    ("panic", Lint::P1),
-    ("wall-clock", Lint::W1),
-    ("layering", Lint::L1),
-    ("panic-reach", Lint::S1),
-    ("lock-discipline", Lint::S2),
-    ("nan-taint", Lint::S3),
+/// The S1 site-audit key: a `panic` marker covers one panic site.
+pub const PANIC_AUDIT: &str = "panic";
+
+/// Marker keys: one per suppressible lint, plus [`PANIC_AUDIT`].
+pub const MARKER_KEYS: &[&str] = &[
+    "unordered-iter",
+    "float-eq",
+    "wall-clock",
+    "layering",
+    PANIC_AUDIT,
+    "panic-reach",
+    "lock-discipline",
+    "nan-taint",
 ];
 
 /// One parsed `msrnet-allow` marker.
 #[derive(Clone, Debug)]
 pub struct Marker {
-    /// The lint this marker suppresses.
-    pub lint: Lint,
+    /// The marker key, one of [`MARKER_KEYS`].
+    pub key: &'static str,
     /// 1-based line the marker comment starts on.
     pub line: u32,
     /// The justification text (non-empty by construction).
@@ -55,9 +58,8 @@ pub struct MarkerSet {
 }
 
 impl MarkerSet {
-    /// Extracts markers from a file's comments. Comments whose first
-    /// byte offset falls in a test region should be filtered by the
-    /// caller before this runs.
+    /// Extracts markers from a file's comments. The caller filters out
+    /// comments in test code ([`crate::ast::test_spans`]) first.
     pub fn parse(comments: &[Comment]) -> MarkerSet {
         let mut set = MarkerSet::default();
         for c in comments {
@@ -90,16 +92,12 @@ impl MarkerSet {
                 Some((k, r)) => (k, r.trim()),
                 None => (rest.trim(), ""),
             };
-            let Some(&(_, lint)) = MARKER_KEYS.iter().find(|(k, _)| *k == key) else {
+            let Some(&known) = MARKER_KEYS.iter().find(|k| **k == key) else {
                 set.malformed.push((
                     c.line,
                     format!(
                         "msrnet-allow marker names unknown lint key `{key}` (expected one of: {})",
-                        MARKER_KEYS
-                            .iter()
-                            .map(|(k, _)| *k)
-                            .collect::<Vec<_>>()
-                            .join(", ")
+                        MARKER_KEYS.join(", ")
                     ),
                 ));
                 continue;
@@ -114,7 +112,7 @@ impl MarkerSet {
                 continue;
             }
             set.markers.push(Marker {
-                lint,
+                key: known,
                 line: c.line,
                 reason: reason.to_string(),
                 used: false,
@@ -123,12 +121,12 @@ impl MarkerSet {
         set
     }
 
-    /// Tries to suppress a diagnostic: returns true (and records the
-    /// marker as used) when a matching marker sits on the diagnostic's
-    /// line or the line above.
-    pub fn suppresses(&mut self, lint: Lint, line: u32) -> bool {
+    /// Tries to suppress a finding on `line`: returns true (and records
+    /// the marker as used) when a marker with `key` sits on that line
+    /// or the line above.
+    pub fn suppresses(&mut self, key: &str, line: u32) -> bool {
         for m in &mut self.markers {
-            if m.lint == lint && (m.line == line || m.line + 1 == line) {
+            if m.key == key && (m.line == line || m.line + 1 == line) {
                 m.used = true;
                 return true;
             }
@@ -150,7 +148,7 @@ impl MarkerSet {
                 snippet: String::new(),
                 message: format!(
                     "unused msrnet-allow marker for `{}` — no matching diagnostic on this or the next line; remove it",
-                    m.lint.marker_key()
+                    m.key
                 ),
                 chain: Vec::new(),
             })
@@ -174,10 +172,19 @@ mod tests {
                    let y = a == 0.0;\n";
         let mut set = markers_of(src);
         assert!(set.malformed.is_empty());
-        assert!(set.suppresses(Lint::P1, 1));
-        assert!(set.suppresses(Lint::D3, 3));
-        assert!(!set.suppresses(Lint::D3, 5));
+        assert!(set.suppresses(PANIC_AUDIT, 1));
+        assert!(set.suppresses("float-eq", 3));
+        assert!(!set.suppresses("float-eq", 5));
         assert!(set.unused("f.rs").is_empty());
+    }
+
+    #[test]
+    fn every_suppressible_lint_has_a_key() {
+        let suppressible = [Lint::D1, Lint::D3, Lint::L1, Lint::W1, Lint::S1, Lint::S2, Lint::S3];
+        for lint in suppressible {
+            assert!(MARKER_KEYS.contains(&lint.marker_key()), "{lint}");
+        }
+        assert_eq!(MARKER_KEYS.len(), 8);
     }
 
     #[test]
@@ -204,7 +211,7 @@ mod tests {
     fn unused_markers_are_reported() {
         let mut set = markers_of("// msrnet-allow: panic never triggers\n");
         assert!(set.malformed.is_empty());
-        assert!(!set.suppresses(Lint::P1, 10));
+        assert!(!set.suppresses(PANIC_AUDIT, 10));
         let unused = set.unused("f.rs");
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].lint, Lint::M1);
@@ -214,6 +221,6 @@ mod tests {
     fn block_comment_marker_trims_terminator() {
         let mut set = markers_of("/* msrnet-allow: wall-clock stats only */ let t = now();\n");
         assert!(set.malformed.is_empty());
-        assert!(set.suppresses(Lint::W1, 1));
+        assert!(set.suppresses("wall-clock", 1));
     }
 }

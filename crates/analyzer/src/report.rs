@@ -14,14 +14,9 @@ pub enum Lint {
     /// `HashMap`/`HashSet` in non-test code: iteration order leaks
     /// nondeterminism into anything that walks the container.
     D1,
-    /// NaN-unsafe ordering: `partial_cmp` as a comparator/sort key.
-    D2,
     /// Float `==`/`!=` against a float literal or non-infinity float
     /// constant outside test code.
     D3,
-    /// Panic policy: `unwrap()`/`expect()`/`panic!`-family in
-    /// library-crate non-test code.
-    P1,
     /// Crate layering: a manifest dependency pointing at a higher
     /// layer, a dependency cycle, or a crate missing from the layer
     /// map.
@@ -29,16 +24,17 @@ pub enum Lint {
     /// Wall-clock (`Instant::now`, `SystemTime`) or `std::env` reads
     /// outside the crates allowed to observe the environment.
     W1,
-    /// Panic-reachability: a public library-crate API that can
-    /// transitively reach an unaudited panic site (call-graph based).
+    /// Panic-reachability: a library entry point (a `pub fn` or a
+    /// trait-side method) that can transitively reach an unaudited
+    /// panic site (call-graph based).
     S1,
     /// Lock discipline in `crates/service`: DP solves, blocking I/O or
     /// re-acquisition while holding the session-table mutex, and
     /// inconsistent lock acquisition order.
     S2,
-    /// NaN-taint dataflow: a possibly-NaN value (division, `powf`,
-    /// `ln`, unvalidated parse, …) reaching a `total_cmp`/`partial_cmp`
-    /// ordering without a finiteness guard.
+    /// NaN-unsafe ordering: any `partial_cmp` call, or a possibly-NaN
+    /// value (division, `powf`, `ln`, unvalidated parse, …) reaching a
+    /// `total_cmp` ordering without a finiteness guard.
     S3,
     /// Marker hygiene: malformed or unused `msrnet-allow` markers.
     M1,
@@ -49,9 +45,7 @@ impl Lint {
     pub fn id(self) -> &'static str {
         match self {
             Lint::D1 => "D1",
-            Lint::D2 => "D2",
             Lint::D3 => "D3",
-            Lint::P1 => "P1",
             Lint::L1 => "L1",
             Lint::W1 => "W1",
             Lint::S1 => "S1",
@@ -66,9 +60,7 @@ impl Lint {
     pub fn marker_key(self) -> &'static str {
         match self {
             Lint::D1 => "unordered-iter",
-            Lint::D2 => "nan-ord",
             Lint::D3 => "float-eq",
-            Lint::P1 => "panic",
             Lint::L1 => "layering",
             Lint::W1 => "wall-clock",
             Lint::S1 => "panic-reach",
@@ -262,10 +254,10 @@ mod tests {
     fn canonical_order_is_path_line_col_lint() {
         let mut r = Report {
             diagnostics: vec![
-                diag(Lint::P1, "b.rs", 1, 1),
+                diag(Lint::S1, "b.rs", 1, 1),
                 diag(Lint::D1, "a.rs", 2, 1),
+                diag(Lint::S3, "a.rs", 1, 5),
                 diag(Lint::D3, "a.rs", 1, 5),
-                diag(Lint::D2, "a.rs", 1, 5),
             ],
             ..Report::default()
         };
@@ -278,10 +270,10 @@ mod tests {
         assert_eq!(
             order,
             vec![
-                ("a.rs", 1, 5, "D2"),
                 ("a.rs", 1, 5, "D3"),
+                ("a.rs", 1, 5, "S3"),
                 ("a.rs", 2, 1, "D1"),
-                ("b.rs", 1, 1, "P1"),
+                ("b.rs", 1, 1, "S1"),
             ]
         );
     }
@@ -294,11 +286,11 @@ mod tests {
     #[test]
     fn json_is_stable_across_insert_order() {
         let mut a = Report {
-            diagnostics: vec![diag(Lint::D1, "a.rs", 1, 1), diag(Lint::D2, "b.rs", 2, 2)],
+            diagnostics: vec![diag(Lint::D1, "a.rs", 1, 1), diag(Lint::S3, "b.rs", 2, 2)],
             ..Report::default()
         };
         let mut b = Report {
-            diagnostics: vec![diag(Lint::D2, "b.rs", 2, 2), diag(Lint::D1, "a.rs", 1, 1)],
+            diagnostics: vec![diag(Lint::S3, "b.rs", 2, 2), diag(Lint::D1, "a.rs", 1, 1)],
             ..Report::default()
         };
         a.canonicalize();

@@ -27,7 +27,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{FnDef, Item, ItemKind, Span, UseImport, Vis};
 use crate::lints::FileKind;
-use crate::scopes::TestRegions;
 
 /// One source file's parse results, as handed to [`Registry::build`].
 pub struct SourceUnit<'a> {
@@ -37,10 +36,8 @@ pub struct SourceUnit<'a> {
     pub path: &'a str,
     /// Library or front-end code.
     pub kind: FileKind,
-    /// Parsed items.
+    /// Parsed items (test items are recorded but marked).
     pub items: &'a [Item],
-    /// Test regions of the file (test fns are recorded but marked).
-    pub regions: &'a TestRegions,
 }
 
 /// One function known to the analyzer.
@@ -65,10 +62,24 @@ pub struct FnInfo {
     pub span: Span,
     /// File kind the function lives in.
     pub kind: FileKind,
-    /// Whether the function sits in a test region (`#[cfg(test)]`).
+    /// Whether the function is test code ([`Item::test`]).
     pub is_test: bool,
+    /// Whether the function is a method of an `impl Trait for T` block
+    /// or a trait default method: std can call it with no call the
+    /// graph sees (`to_string`, `for`, `?`, operators, `sort`, `Drop`).
+    pub trait_method: bool,
     /// The parsed definition (body used by the semantic lints).
     pub def: FnDef,
+}
+
+impl FnInfo {
+    /// Whether S1 checks the function as an entry point: library,
+    /// non-test code that is either `pub` or a [`FnInfo::trait_method`].
+    pub fn is_entry(&self) -> bool {
+        self.kind == FileKind::Library
+            && !self.is_test
+            && (self.vis == Vis::Pub || self.trait_method)
+    }
 }
 
 /// The workspace symbol table.
@@ -121,7 +132,7 @@ impl Registry {
         let mut reg = Registry::default();
         for unit in units {
             let module = module_path_of(unit.path);
-            reg.record_items(unit, &module, None, unit.items);
+            reg.record_items(unit, &module, None, false, unit.items);
         }
         // Dependency closure: transitive, reflexive, workspace-only.
         let direct: BTreeMap<&str, &[String]> = deps
@@ -143,26 +154,35 @@ impl Registry {
         reg
     }
 
+    /// Records `items`; `in_trait` is set inside a trait or an
+    /// `impl Trait for T` block.
     fn record_items(
         &mut self,
         unit: &SourceUnit<'_>,
         module: &[String],
         self_ty: Option<&str>,
+        in_trait: bool,
         items: &[Item],
     ) {
         for item in items {
             match &item.kind {
-                ItemKind::Fn(def) => self.record_fn(unit, module, self_ty, def),
+                ItemKind::Fn(def) => {
+                    self.record_fn(unit, module, self_ty, in_trait, item.test, def)
+                }
                 ItemKind::Mod { name, items, .. } => {
                     let mut inner = module.to_vec();
                     inner.push(name.clone());
-                    self.record_items(unit, &inner, self_ty, items);
+                    self.record_items(unit, &inner, self_ty, in_trait, items);
                 }
-                ItemKind::Impl { self_ty: ty, items, .. } => {
-                    self.record_items(unit, module, Some(ty.as_str()), items);
+                ItemKind::Impl {
+                    self_ty: ty,
+                    trait_name,
+                    items,
+                } => {
+                    self.record_items(unit, module, Some(ty.as_str()), trait_name.is_some(), items);
                 }
                 ItemKind::Trait { name, items } => {
-                    self.record_items(unit, module, Some(name.as_str()), items);
+                    self.record_items(unit, module, Some(name.as_str()), true, items);
                 }
                 ItemKind::Use(imports) => {
                     let map = self
@@ -185,6 +205,8 @@ impl Registry {
         unit: &SourceUnit<'_>,
         module: &[String],
         self_ty: Option<&str>,
+        in_trait: bool,
+        is_test: bool,
         def: &FnDef,
     ) {
         if def.name.is_empty() {
@@ -214,7 +236,9 @@ impl Registry {
             path: unit.path.to_string(),
             span: def.span,
             kind: unit.kind,
-            is_test: unit.regions.contains(def.span.start),
+            is_test,
+            // A bodiless trait method declaration runs nothing.
+            trait_method: in_trait && def.body.is_some(),
             def: def.clone(),
         });
         match self_ty.filter(|t| !t.is_empty()) {
@@ -433,22 +457,18 @@ mod tests {
     use super::*;
     use crate::ast::parse_file;
     use crate::lexer::lex;
-    use crate::scopes::find_test_regions;
 
     struct Parsed {
         crate_name: String,
         path: String,
         items: Vec<Item>,
-        regions: TestRegions,
     }
 
     fn parsed(crate_name: &str, path: &str, src: &str) -> Parsed {
-        let lexed = lex(src);
         Parsed {
             crate_name: crate_name.to_string(),
             path: path.to_string(),
-            items: parse_file(src, &lexed),
-            regions: find_test_regions(src, &lexed),
+            items: parse_file(src, &lex(src)),
         }
     }
 
@@ -460,7 +480,6 @@ mod tests {
                 path: &p.path,
                 kind: FileKind::Library,
                 items: &p.items,
-                regions: &p.regions,
             })
             .collect();
         Registry::build(&units, deps)
@@ -607,5 +626,21 @@ mod tests {
         let reg = build(&files, &[("msrnet-core".to_string(), vec![])]);
         assert!(!reg.fns[idx_of(&reg, "msrnet-core::prod")].is_test);
         assert!(reg.fns[idx_of(&reg, "msrnet-core::tests::helper")].is_test);
+    }
+
+    #[test]
+    fn trait_side_methods_are_entry_points() {
+        let files = [parsed(
+            "msrnet-core",
+            "crates/core/src/lib.rs",
+            "struct S;\nimpl S { fn inherent(&self) {} }\nimpl std::fmt::Display for S { fn fmt(&self) {} }\n\
+             trait T { fn required(&self); fn provided(&self) {} }\n",
+        )];
+        let reg = build(&files, &[("msrnet-core".to_string(), vec![])]);
+        let entry = |id: &str| reg.fns[idx_of(&reg, id)].is_entry();
+        assert!(!entry("msrnet-core::S::inherent"));
+        assert!(entry("msrnet-core::S::fmt"));
+        assert!(entry("msrnet-core::T::provided"));
+        assert!(!entry("msrnet-core::T::required"));
     }
 }

@@ -1,11 +1,13 @@
-//! The S3 NaN-taint dataflow lint.
+//! The S3 NaN-ordering lint.
 //!
-//! `D2` already bans `partial_cmp` orderings, but `total_cmp` is only
-//! safe when its operands are actually comparable in the intended
-//! order: a NaN produced upstream silently sorts *after* every finite
-//! value, which reorders candidate lists and breaks the determinism
-//! story in a way no panic ever reports. S3 tracks, within each
-//! function, which values are *possibly NaN*:
+//! Every `partial_cmp` call in non-test code is flagged outright: it
+//! is not a total order (it returns `None` on NaN), and every workspace
+//! ordering must be total. `total_cmp` is total, but only safe when its
+//! operands are actually comparable in the intended order: a NaN
+//! produced upstream silently sorts *after* every finite value, which
+//! reorders candidate lists and breaks the determinism story in a way
+//! no panic ever reports. So S3 also tracks, within each function,
+//! which values are *possibly NaN*:
 //!
 //! * **sources** — division (unless the divisor is a non-zero numeric
 //!   literal), `powf`/`sqrt`/`ln`/`log*`/`asin`/`acos`, unvalidated
@@ -17,8 +19,8 @@
 //!   `x.is_finite()`/`x.is_nan()`/`x.is_infinite()` clears `x` for the
 //!   then-block and the code after (the else-branch keeps the taint:
 //!   that *is* the NaN path);
-//! * **sinks** — a tainted value reaching `total_cmp` or `partial_cmp`
-//!   is flagged at the call, naming the source line.
+//! * **sinks** — a tainted value reaching `total_cmp` is flagged at
+//!   the call, naming the source line.
 //!
 //! The pass is deliberately intraprocedural and type-blind: calls
 //! return untainted values and variables are tracked by name in a flat
@@ -31,7 +33,6 @@ use std::collections::BTreeMap;
 
 use crate::ast::{Block, Expr, ExprKind, Item, ItemKind, Stmt};
 use crate::report::{Diagnostic, Lint};
-use crate::scopes::TestRegions;
 
 /// Methods whose result is possibly NaN regardless of input.
 const NAN_METHODS: &[&str] = &[
@@ -44,9 +45,6 @@ const GUARD_METHODS: &[&str] = &["is_finite", "is_nan", "is_infinite", "is_norma
 
 /// Methods returning a non-NaN result when *either* operand is clean.
 const MIN_MAX: &[&str] = &["max", "min"];
-
-/// Ordering sinks.
-const SINKS: &[&str] = &["total_cmp", "partial_cmp"];
 
 /// Where a taint came from, for the diagnostic message.
 #[derive(Clone, Debug)]
@@ -68,15 +66,14 @@ pub struct TaintOutcome {
     pub sinks: usize,
 }
 
-/// Runs the NaN-taint pass over every non-test function of a parsed
-/// file.
-pub fn check_file(path: &str, items: &[Item], regions: &TestRegions) -> TaintOutcome {
+/// Runs S3 over every non-test function of a parsed file.
+pub fn check_file(path: &str, items: &[Item]) -> TaintOutcome {
     let mut pass = Pass {
         path,
         emit: true,
         out: TaintOutcome::default(),
     };
-    pass.items(items, regions);
+    pass.items(items);
     pass.out
 }
 
@@ -88,13 +85,10 @@ struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    fn items(&mut self, items: &[Item], regions: &TestRegions) {
-        for item in items {
+    fn items(&mut self, items: &[Item]) {
+        for item in items.iter().filter(|i| !i.test) {
             match &item.kind {
                 ItemKind::Fn(f) => {
-                    if regions.contains(f.span.start) {
-                        continue;
-                    }
                     if let Some(body) = &f.body {
                         let mut env = Env::new();
                         self.block(body, &mut env);
@@ -102,7 +96,7 @@ impl<'a> Pass<'a> {
                 }
                 ItemKind::Mod { items, .. }
                 | ItemKind::Impl { items, .. }
-                | ItemKind::Trait { items, .. } => self.items(items, regions),
+                | ItemKind::Trait { items, .. } => self.items(items),
                 ItemKind::Use(_) | ItemKind::Other => {}
             }
         }
@@ -131,7 +125,8 @@ impl<'a> Pass<'a> {
                     }
                 }
                 Stmt::Expr(e) => last = self.expr(e, env),
-                Stmt::Item(_) => {}
+                // A nested fn starts from a fresh environment.
+                Stmt::Item(item) => self.items(std::slice::from_ref(item)),
             }
         }
         last
@@ -156,12 +151,16 @@ impl<'a> Pass<'a> {
                 let ats: Vec<Option<Source>> =
                     args.iter().map(|a| self.expr(a, env)).collect();
                 let arg_taint = ats.iter().flatten().next().cloned();
-                if SINKS.contains(&name.as_str()) {
+                if name == "partial_cmp" {
+                    self.flag_partial_cmp(e);
+                    return None;
+                }
+                if name == "total_cmp" {
                     if self.emit {
                         self.out.sinks += 1;
                     }
-                    if let Some(src) = rt.clone().or(arg_taint.clone()) {
-                        self.sink(e, name, &src);
+                    if let Some(src) = rt.or(arg_taint) {
+                        self.sink(e, &src);
                     }
                     return None;
                 }
@@ -193,6 +192,8 @@ impl<'a> Pass<'a> {
                         Some("from_str") => {
                             return self.fresh(e.span.line, "an unvalidated parse");
                         }
+                        // `f64::partial_cmp(a, b)`, spanned at the path.
+                        Some("partial_cmp") => self.flag_partial_cmp(e),
                         _ => {}
                     }
                 } else {
@@ -384,7 +385,37 @@ impl<'a> Pass<'a> {
         })
     }
 
-    fn sink(&mut self, e: &Expr, name: &str, src: &Source) {
+    /// Flags a possibly-NaN value reaching a `total_cmp` call.
+    fn sink(&mut self, e: &Expr, src: &Source) {
+        self.report(
+            e,
+            "total_cmp",
+            format!(
+                "possibly-NaN value (from {} at line {}) reaches `total_cmp` without a \
+                 finiteness guard; NaN sorts after every finite value and silently \
+                 reorders results — guard with `.is_finite()` or justify with \
+                 `msrnet-allow: nan-taint <reason>`",
+                src.what, src.line
+            ),
+        );
+    }
+
+    /// Flags a `partial_cmp` call whatever its operands: the ordering
+    /// it returns is not total.
+    fn flag_partial_cmp(&mut self, e: &Expr) {
+        if self.emit {
+            self.out.sinks += 1;
+        }
+        self.report(
+            e,
+            "partial_cmp",
+            "NaN-unsafe ordering: `partial_cmp` is not total (it returns `None` on NaN); \
+             use `f64::total_cmp`, or justify with `msrnet-allow: nan-taint <reason>`"
+                .to_string(),
+        );
+    }
+
+    fn report(&mut self, e: &Expr, snippet: &str, message: String) {
         if !self.emit {
             return;
         }
@@ -394,14 +425,8 @@ impl<'a> Pass<'a> {
             line: e.span.line,
             col: e.span.col,
             len: e.span.len,
-            snippet: name.to_string(),
-            message: format!(
-                "possibly-NaN value (from {} at line {}) reaches `{name}` without a \
-                 finiteness guard; NaN sorts after every finite value and silently \
-                 reorders results — guard with `.is_finite()` or justify with \
-                 `msrnet-allow: nan-taint <reason>`",
-                src.what, src.line
-            ),
+            snippet: snippet.to_string(),
+            message,
             chain: Vec::new(),
         });
     }
@@ -463,13 +488,9 @@ mod tests {
     use super::*;
     use crate::ast::parse_file;
     use crate::lexer::lex;
-    use crate::scopes::find_test_regions;
 
     fn run(src: &str) -> TaintOutcome {
-        let lexed = lex(src);
-        let items = parse_file(src, &lexed);
-        let regions = find_test_regions(src, &lexed);
-        check_file("crates/pwl/src/x.rs", &items, &regions)
+        check_file("crates/pwl/src/x.rs", &parse_file(src, &lex(src)))
     }
 
     #[test]

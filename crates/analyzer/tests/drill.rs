@@ -47,15 +47,15 @@ fn injected_partial_cmp_is_pinned_at_exact_span() {
     );
 
     let a = analyze_file(&ctx("crates/core/src/dp.rs"), &injected);
-    let d2: Vec<_> = a.diagnostics.iter().filter(|d| d.lint == Lint::D2).collect();
-    assert_eq!(d2.len(), 1, "exactly the injected site: {:?}", a.diagnostics);
+    let s3: Vec<_> = a.diagnostics.iter().filter(|d| d.lint == Lint::S3).collect();
+    assert_eq!(s3.len(), 1, "exactly the injected site: {:?}", a.diagnostics);
 
     // Recompute the expected 1-based line/col of the injection point
     // from the patched text itself.
     let before = &injected[..pos];
     let line = before.bytes().filter(|&b| b == b'\n').count() as u32 + 1;
     let col = (pos - before.rfind('\n').map_or(0, |i| i + 1)) as u32 + 1;
-    let d = d2[0];
+    let d = s3[0];
     assert_eq!((d.line, d.col), (line, col), "span drifted: {d:?}");
     assert_eq!(d.len, "partial_cmp".len() as u32);
     assert_eq!(d.snippet, "partial_cmp");

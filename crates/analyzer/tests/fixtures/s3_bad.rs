@@ -5,3 +5,8 @@ pub fn rank(a: f64, b: f64) -> std::cmp::Ordering {
     let kb = b / a;
     ka.total_cmp(&kb)
 }
+
+// `partial_cmp` is flagged whatever its operands: it is not total.
+fn sort_desc(v: &mut Vec<f64>) {
+    v.sort_by(|a, b| b.partial_cmp(a).unwrap());
+}

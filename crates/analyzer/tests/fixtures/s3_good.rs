@@ -8,3 +8,13 @@ pub fn rank(a: f64, b: f64) -> std::cmp::Ordering {
     }
     std::cmp::Ordering::Equal
 }
+
+// total_cmp is total; partial_cmp in a comment or string is not code.
+fn sort_desc(v: &mut Vec<f64>) {
+    // partial_cmp(a).unwrap() would be wrong here; total_cmp is total.
+    v.sort_by(|a, b| b.total_cmp(a));
+}
+
+fn doc() -> &'static str {
+    "never call partial_cmp(x).unwrap() on floats"
+}

@@ -92,7 +92,7 @@ fn diagnostics_sort_stably_by_position() {
     let mut r = Report {
         diagnostics: vec![
             d("b.rs", 1, 1, Lint::D1),
-            d("a.rs", 9, 2, Lint::P1),
+            d("a.rs", 9, 2, Lint::S1),
             d("a.rs", 9, 2, Lint::D3),
             d("a.rs", 2, 7, Lint::W1),
         ],
@@ -112,7 +112,7 @@ fn diagnostics_sort_stably_by_position() {
         vec![
             ("a.rs".to_string(), 2, 7, "W1"),
             ("a.rs".to_string(), 9, 2, "D3"),
-            ("a.rs".to_string(), 9, 2, "P1"),
+            ("a.rs".to_string(), 9, 2, "S1"),
             ("b.rs".to_string(), 1, 1, "D1"),
         ]
     );

@@ -294,7 +294,7 @@ pub fn random_jobs(
     seed0: u64,
     spacing: f64,
 ) -> Vec<BatchJob> {
-    let mut jobs = Vec::with_capacity(count);
+    let mut jobs = Vec::new();
     let mut seed = seed0;
     while jobs.len() < count {
         let mut rng = StdRng::seed_from_u64(seed);

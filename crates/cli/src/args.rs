@@ -52,7 +52,8 @@ impl<'a> Flags<'a> {
             .map(|(_, v)| *v)
     }
 
-    /// The numeric value of `--name`, or `default` when absent.
+    /// The numeric value of `--name`, or `default` when absent. For
+    /// float flags; integer flags use [`Flags::get_int`].
     ///
     /// # Errors
     ///
@@ -64,6 +65,29 @@ impl<'a> Flags<'a> {
             None => Ok(default),
             Some(v) => parse_finite(name, v),
         }
+    }
+
+    /// The integer value of `--name`, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag unless the value is a plain
+    /// run of decimal digits that fits `T`: a sign, a fraction, an
+    /// exponent or an out-of-range value is refused, never rounded or
+    /// clamped into range.
+    pub fn get_int<T: TryFrom<u64>>(&self, name: &str, default: T) -> Result<T, String> {
+        let Some(v) = self.get(name) else {
+            return Ok(default);
+        };
+        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(format!(
+                "--{name}: expected a non-negative integer, got `{v}`"
+            ));
+        }
+        v.parse::<u64>()
+            .ok()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| format!("--{name}: `{v}` is out of range"))
     }
 
     /// Whether the bare switch `--name` was given.
@@ -161,6 +185,27 @@ mod tests {
             assert!(parse_finite("spec", bad).is_err());
         }
         assert_eq!(parse_finite("spec", "2.5"), Ok(2.5));
+    }
+
+    #[test]
+    fn integers_are_exact_or_refused() {
+        let owned = strings(&["--a", "42", "--b", "007", "--big", "4294967296"]);
+        let refs: Vec<&String> = owned.iter().collect();
+        let f = Flags::parse(&refs, &[]).unwrap();
+        assert_eq!(f.get_int("a", 0usize), Ok(42));
+        assert_eq!(f.get_int("b", 0u64), Ok(7));
+        assert_eq!(f.get_int("absent", 9u32), Ok(9));
+        assert_eq!(f.get_int("big", 0u64), Ok(1 << 32));
+        let err = f.get_int("big", 0u32).unwrap_err();
+        assert_eq!(err, "--big: `4294967296` is out of range");
+        let bad_values = ["-1", "+3", "0.5", "5.9", "1e13", "", " 1", "0x10", "99999999999999999999"];
+        for bad in bad_values {
+            let owned = strings(&["--n", bad]);
+            let refs: Vec<&String> = owned.iter().collect();
+            let f = Flags::parse(&refs, &[]).unwrap();
+            let err = f.get_int("n", 0usize).unwrap_err();
+            assert!(err.contains("--n"), "`{bad}` accepted: {err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Command-line tooling for `msrnet`: a plain-text net interchange
-//! format ([`mod@format`]) and SVG rendering of topologies and solutions
-//! ([`svg`]).
+//! Command-line tooling for `msrnet`: flag parsing ([`args`]), Markdown
+//! reports ([`report`]) and SVG rendering of topologies and solutions
+//! ([`svg`]). The `.msr` net format the subcommands read and write is
+//! `msrnet_netgen::format`.
 //!
 //! The `msrnet-cli` binary's subcommands:
 //!
@@ -31,7 +32,7 @@
 //! # Examples
 //!
 //! ```
-//! use msrnet_cli::format::{parse_net_file, write_net_file};
+//! use msrnet_netgen::format::{parse_net_file, write_net_file};
 //! use msrnet_netgen::{table1, ExperimentNet};
 //! use msrnet_rng::SeedableRng;
 //!
@@ -51,9 +52,3 @@
 pub mod args;
 pub mod report;
 pub mod svg;
-
-// The `.msr` format moved to `msrnet-netgen` so lower-layer consumers
-// (notably the `msrnet-service` session server, which parses uploads)
-// can use it; this re-export keeps the historical `msrnet_cli::format`
-// paths working.
-pub use msrnet_netgen::format;

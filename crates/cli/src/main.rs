@@ -16,7 +16,6 @@
 use std::process::ExitCode;
 
 use msrnet_cli::args::{parse_finite, Flags};
-use msrnet_cli::format::{parse_net_file, write_net_file};
 use msrnet_cli::svg::{render_svg, RenderOptions};
 use msrnet_core::ard::ard_linear;
 use msrnet_core::exhaustive::apply_terminal_choices;
@@ -25,6 +24,7 @@ use msrnet_core::{
     TerminalOptions, TradeoffCurve, WireOption,
 };
 use msrnet_incremental::json::{json_num, json_str};
+use msrnet_netgen::format::{parse_net_file, write_net_file, NetFile};
 use msrnet_netgen::{table1, ExperimentNet};
 use msrnet_rctree::{Assignment, TerminalId};
 use msrnet_rng::SeedableRng;
@@ -109,8 +109,8 @@ fn run(args: &[String]) -> Result<(), String> {
 fn cmd_gen(args: &[&String]) -> Result<(), String> {
     let f = Flags::parse(args, &["raw"])?;
     f.reject_unknown(&["terminals", "seed", "spacing", "o"])?;
-    let n = f.get_num("terminals", 8.0)? as usize;
-    let seed = f.get_num("seed", 1.0)? as u64;
+    let n = f.get_int("terminals", 8usize)?;
+    let seed = f.get_int("seed", 1u64)?;
     let spacing = f.get_num("spacing", 800.0)?;
     if n < 2 {
         return Err("--terminals must be at least 2".into());
@@ -143,13 +143,13 @@ fn cmd_gen(args: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn load(path: &str) -> Result<msrnet_cli::format::NetFile, String> {
+fn load(path: &str) -> Result<NetFile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     parse_net_file(&text).map_err(|e| e.to_string())
 }
 
-fn root_flag(f: &Flags<'_>, nf: &msrnet_cli::format::NetFile) -> Result<TerminalId, String> {
-    let idx = f.get_num("root", 0.0)? as usize;
+fn root_flag(f: &Flags<'_>, nf: &NetFile) -> Result<TerminalId, String> {
+    let idx = f.get_int("root", 0usize)?;
     if idx >= nf.net.terminals.len() {
         return Err(format!("--root {idx} out of range"));
     }
@@ -380,7 +380,7 @@ fn cmd_batch(args: &[&String]) -> Result<(), String> {
         "pruning",
         "o",
     ])?;
-    let threads = f.get_num("threads", 1.0)? as usize;
+    let threads = f.get_int("threads", 1usize)?;
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
@@ -394,10 +394,10 @@ fn cmd_batch(args: &[&String]) -> Result<(), String> {
         job.options.allow_inverting = job.library.iter().any(|r| r.inverting);
         jobs.push(job);
     }
-    let count = f.get_num("count", 0.0)? as usize;
+    let count = f.get_int("count", 0usize)?;
     if count > 0 {
-        let n = f.get_num("terminals", 8.0)? as usize;
-        let seed = f.get_num("seed", 1.0)? as u64;
+        let n = f.get_int("terminals", 8usize)?;
+        let seed = f.get_int("seed", 1u64)?;
         let spacing = f.get_num("spacing", 800.0)?;
         if n < 2 {
             return Err("--terminals must be at least 2".into());
@@ -531,11 +531,11 @@ fn cmd_topology(args: &[&String]) -> Result<(), String> {
         return Err("--radius-weight must be finite and non-negative".into());
     }
     let cfg = SearchConfig {
-        rounds: f.get_num("rounds", 2.0)? as usize,
-        neighbors: f.get_num("neighbors", 4.0)? as usize,
+        rounds: f.get_int("rounds", 2usize)?,
+        neighbors: f.get_int("neighbors", 4usize)?,
         radius_weight,
-        densify_top: f.get_num("densify", 2.0)? as usize,
-        seed: f.get_num("seed", 1.0)? as u64,
+        densify_top: f.get_int("densify", 2usize)?,
+        seed: f.get_int("seed", 1u64)?,
     };
 
     // Zero-cost default driver menus: the search only detaches
@@ -640,14 +640,12 @@ fn cmd_serve(args: &[&String]) -> Result<(), String> {
     let endpoint = endpoint_flag(&f)?;
     let defaults = ServerConfig::default();
     let config = ServerConfig {
-        max_payload: f.get_num("max-frame", f64::from(defaults.max_payload))? as u32,
-        max_sessions: f.get_num("max-sessions", defaults.max_sessions as f64)? as usize,
-        max_resident: f.get_num("max-resident", defaults.max_resident as f64)? as usize,
-        max_connections: f.get_num("max-connections", defaults.max_connections as f64)?
-            as usize,
-        batch_threads_cap: f.get_num("batch-threads", defaults.batch_threads_cap as f64)?
-            as usize,
-        read_timeout_ms: f.get_num("read-timeout-ms", defaults.read_timeout_ms as f64)? as u64,
+        max_payload: f.get_int("max-frame", defaults.max_payload)?,
+        max_sessions: f.get_int("max-sessions", defaults.max_sessions)?,
+        max_resident: f.get_int("max-resident", defaults.max_resident)?,
+        max_connections: f.get_int("max-connections", defaults.max_connections)?,
+        batch_threads_cap: f.get_int("batch-threads", defaults.batch_threads_cap)?,
+        read_timeout_ms: f.get_int("read-timeout-ms", defaults.read_timeout_ms)?,
         once: f.has("once"),
     };
     let server =
@@ -685,9 +683,7 @@ fn cmd_client(args: &[&String]) -> Result<(), String> {
         .ok_or("missing client operation (edits|batch|stats)")?;
     let mut client = Client::connect(&endpoint)
         .map_err(|e| format!("connecting to {endpoint}: {e}"))?;
-    if f.get("deadline-ms").is_some() {
-        client.deadline_ms = f.get_num("deadline-ms", 0.0)? as u32;
-    }
+    client.deadline_ms = f.get_int("deadline-ms", client.deadline_ms)?;
     let output = match *op {
         // One served open/edit/recompute/close exchange; the printed
         // report is byte-identical to a local `msrnet-cli edits` run on
@@ -699,7 +695,7 @@ fn cmd_client(args: &[&String]) -> Result<(), String> {
             let trace_path = f.get("trace").ok_or("missing --trace EDITS.json")?;
             let trace = std::fs::read_to_string(trace_path)
                 .map_err(|e| format!("reading {trace_path}: {e}"))?;
-            let root = f.get_num("root", 0.0)? as u32;
+            let root = f.get_int("root", 0u32)?;
             let driver_cost = f.get_num("driver-cost", 0.0)?;
             // Validate locally so a bad strategy fails before the dial.
             let pruning = pruning_flag(&f)?.to_string();
@@ -718,7 +714,7 @@ fn cmd_client(args: &[&String]) -> Result<(), String> {
             if files.is_empty() {
                 return Err("no nets to optimize: pass FILE arguments".into());
             }
-            let threads = f.get_num("threads", 1.0)? as usize;
+            let threads = f.get_int("threads", 1usize)?;
             let driver_cost = f.get_num("driver-cost", 0.0)?;
             let pruning = pruning_flag(&f)?.to_string();
             let mut spec = format!(
@@ -774,15 +770,15 @@ fn cmd_timing(args: &[&String]) -> Result<(), String> {
         "slack-target",
         "o",
     ])?;
-    let threads = f.get_num("threads", 1.0)? as usize;
+    let threads = f.get_int("threads", 1usize)?;
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
     let chip = ChipConfig {
-        nets: f.get_num("nets", 40.0)? as usize,
-        levels: f.get_num("levels", 4.0)? as usize,
-        seed: f.get_num("seed", 1.0)? as u64,
-        max_pins: f.get_num("max-pins", 10.0)? as usize,
+        nets: f.get_int("nets", 40usize)?,
+        levels: f.get_int("levels", 4usize)?,
+        seed: f.get_int("seed", 1u64)?,
+        max_pins: f.get_int("max-pins", 10usize)?,
         spacing: f.get_num("spacing", 2500.0)?,
         clock: f.get_num("clock", 0.0)?,
         ..ChipConfig::default()
@@ -794,8 +790,8 @@ fn cmd_timing(args: &[&String]) -> Result<(), String> {
         return Err("--levels must be at least 1".into());
     }
     let cfg = ClosureConfig {
-        k: f.get_num("k", 8.0)? as usize,
-        max_rounds: f.get_num("rounds", 8.0)? as usize,
+        k: f.get_int("k", 8usize)?,
+        max_rounds: f.get_int("rounds", 8usize)?,
         threads,
         slack_target: f.get_num("slack-target", 0.0)?,
     };
@@ -833,10 +829,10 @@ fn cmd_verify(args: &[&String]) -> Result<(), String> {
     let f = Flags::parse(args, &[])?;
     f.reject_unknown(&["seed", "cases", "budget-ms", "max-failures", "repro-dir", "o"])?;
     let cfg = VerifyConfig {
-        seed: f.get_num("seed", 7.0)? as u64,
-        cases: f.get_num("cases", 500.0)? as usize,
-        budget_ms: f.get_num("budget-ms", 30_000.0)? as u64,
-        max_failures: f.get_num("max-failures", 3.0)? as usize,
+        seed: f.get_int("seed", 7u64)?,
+        cases: f.get_int("cases", 500usize)?,
+        budget_ms: f.get_int("budget-ms", 30_000u64)?,
+        max_failures: f.get_int("max-failures", 3usize)?,
     };
     let repro_dir = f.get("repro-dir").unwrap_or("verify-repros");
     let report = run_verify(&cfg);

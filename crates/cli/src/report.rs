@@ -4,9 +4,8 @@
 
 use msrnet_core::ard::{ard_profile, ArdProfile};
 use msrnet_core::{optimize, MsriOptions, TerminalOptions, TradeoffCurve};
+use msrnet_netgen::format::NetFile;
 use msrnet_rctree::{Assignment, TerminalId};
-
-use crate::format::NetFile;
 
 /// Options controlling [`make_report`].
 #[derive(Clone, Debug)]
@@ -150,7 +149,7 @@ fn curve_table(curve: &TradeoffCurve) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::parse_net_file;
+    use msrnet_netgen::format::parse_net_file;
 
     const SAMPLE: &str = "\
 tech 0.03 0.00035

@@ -96,7 +96,7 @@ fn gen_ard_optimize_render_report_roundtrip() {
 fn gen_to_stdout_parses_back() {
     let out = run_ok(bin().args(["gen", "--terminals", "4", "--seed", "1"]));
     let text = String::from_utf8_lossy(&out.stdout);
-    let parsed = msrnet_cli::format::parse_net_file(&text).expect("stdout parses");
+    let parsed = msrnet_netgen::format::parse_net_file(&text).expect("stdout parses");
     assert_eq!(parsed.net.topology.terminal_count(), 4);
 }
 
@@ -231,6 +231,28 @@ fn pruning_flag_is_validated_on_every_entry_point() {
         .expect("spawn");
     assert!(!out.status.success(), "ard must reject --pruning as unknown");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn integer_flags_refuse_signs_fractions_exponents_and_overflow() {
+    let dir = tmpdir("int-flags");
+    let net = dir.join("net.msr");
+    run_ok(bin().args([
+        "gen", "--terminals", "4", "--seed", "0", "-o", net.to_str().expect("utf8"),
+    ]));
+    let net = net.to_str().expect("utf8");
+    assert_flag_rejected(&["gen", "--terminals", "5", "--seed", "-3"], "seed");
+    assert_flag_rejected(&["gen", "--terminals", "5.9"], "terminals");
+    assert_flag_rejected(&["optimize", net, "--root", "-1"], "root");
+    assert_flag_rejected(&["optimize", net, "--root", "0.5"], "root");
+    // Formerly an abort (exit 134) reserving 10^13 jobs up front.
+    assert_flag_rejected(&["batch", "--count", "1e13", "--terminals", "3"], "count");
+    // Out of `u32` range: refused, not saturated.
+    assert_flag_rejected(
+        &["serve", "--tcp", "127.0.0.1:0", "--max-frame", "4294967296"],
+        "max-frame",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

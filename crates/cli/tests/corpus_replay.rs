@@ -8,8 +8,8 @@
 
 use std::path::PathBuf;
 
-use msrnet_cli::format::parse_net_file;
 use msrnet_core::WireOption;
+use msrnet_netgen::format::parse_net_file;
 use msrnet_verify::{registry, run_check, run_named, CheckOutcome, Instance};
 
 fn corpus_dir() -> PathBuf {

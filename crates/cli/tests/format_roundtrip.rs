@@ -2,7 +2,7 @@
 //! generators can produce must serialize and re-parse to an electrically
 //! identical net, and the parser must never panic on mutated input.
 
-use msrnet_cli::format::{parse_net_file, write_net_file};
+use msrnet_netgen::format::{parse_net_file, write_net_file};
 use msrnet_netgen::{table1, ExperimentNet};
 use msrnet_rng::{Rng, SeedableRng, SplitMix64};
 

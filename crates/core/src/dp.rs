@@ -369,11 +369,12 @@ pub fn optimize(
 /// nets*.
 ///
 /// The hot DP loop (`Augment`, `JoinSets`) produces a handful of
-/// short-lived PWL temporaries per candidate pair; with a workspace
-/// those run through [`SegmentArena`]'s fused, allocation-free
-/// operations instead of the global allocator. Results are
-/// **bit-identical** to [`optimize`] — the fused operations replicate
-/// the composed primitives' floating-point operation order exactly.
+/// short-lived PWL temporaries per candidate pair; they always run
+/// through [`SegmentArena`]'s fused operations. [`optimize`] does so
+/// on a fresh workspace per call; [`optimize_in`] reuses the caller's,
+/// so a warm arena recycles buffers instead of asking the global
+/// allocator. What a workspace held before never changes a result: a
+/// primed workspace gives **bit-identical** frontiers to a fresh one.
 ///
 /// A workspace is single-threaded by design; the batch engine creates
 /// one per worker thread.
@@ -417,9 +418,10 @@ impl MsriWorkspace {
     }
 }
 
-/// Like [`optimize`], but reusing `workspace` scratch memory — the entry
-/// point for high-throughput multi-net runs. Results are bit-identical
-/// to [`optimize`].
+/// Like [`optimize`], which runs on a fresh workspace, but reusing
+/// `workspace` scratch memory across calls — the entry point for
+/// high-throughput multi-net runs. Results are bit-identical to
+/// [`optimize`] whatever the workspace held before.
 ///
 /// # Errors
 ///
@@ -559,7 +561,10 @@ impl DpCache {
     }
 
     /// Drops every cached subtree solution and back-pointer; the next
-    /// [`optimize_incremental`] call recomputes everything.
+    /// [`optimize_incremental`] call recomputes everything. The
+    /// back-pointer log only grows across recomputes, so a long edit
+    /// session that values memory over warm starts should clear
+    /// periodically.
     pub fn clear(&mut self) {
         self.sets.clear();
         self.trace.clear();
@@ -568,14 +573,6 @@ impl DpCache {
     /// Number of vertices currently holding a cached candidate set.
     pub fn cached_subtrees(&self) -> usize {
         self.sets.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Length of the append-only back-pointer log. Grows monotonically
-    /// across recomputes (old entries stay valid for reused subtrees)
-    /// until [`DpCache::clear`] — long edit sessions should clear
-    /// periodically if memory matters more than warm starts.
-    pub fn trace_len(&self) -> usize {
-        self.trace.len()
     }
 
     /// Grows the per-vertex table to `n` slots, appending cold (`None`)

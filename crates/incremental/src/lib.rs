@@ -204,18 +204,6 @@ impl Edit {
             Edit::RemoveInsertionPoint { .. } => "remove_insertion_point",
         }
     }
-
-    /// Whether this edit changes the topology's vertex/edge/terminal id
-    /// spaces (as opposed to editing values on fixed elements).
-    pub fn is_structural(&self) -> bool {
-        matches!(
-            self,
-            Edit::AddTerminal { .. }
-                | Edit::RemoveTerminal { .. }
-                | Edit::AddInsertionPoint { .. }
-                | Edit::RemoveInsertionPoint { .. }
-        )
-    }
 }
 
 /// Why an [`IncrementalOptimizer::apply`] call was rejected. Rejected

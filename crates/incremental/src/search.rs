@@ -261,11 +261,6 @@ impl TopologySearch {
         &self.session
     }
 
-    /// Unwraps the session, e.g. to continue editing the found topology.
-    pub fn into_session(self) -> IncrementalOptimizer {
-        self.session
-    }
-
     fn score(&mut self) -> (f64, usize) {
         match self.session.recompute() {
             Ok((curve, _)) => (self.objective.score(&curve), curve.len()),

@@ -332,27 +332,6 @@ fn simulate_stage(
     crossing
 }
 
-/// Simulated augmented delay `AT(u) + T50(u→w) + q(w)` between two
-/// terminals, or `-∞` for infeasible pairs.
-pub fn simulated_delay(
-    net: &Net,
-    rooted: &Rooted,
-    library: &[Repeater],
-    assignment: &Assignment,
-    u: TerminalId,
-    w: TerminalId,
-    opts: &TransientOptions,
-) -> f64 {
-    let tu = net.terminal(u);
-    let tw = net.terminal(w);
-    if u == w || !tu.is_source() || !tw.is_sink() {
-        return f64::NEG_INFINITY;
-    }
-    let res = simulate_from(net, rooted, library, assignment, u, opts);
-    let wv = net.topology.terminal_vertex(w);
-    tu.arrival + res.crossing[wv.0] + tw.downstream
-}
-
 /// The ARD under the numerical transient model: max simulated augmented
 /// delay over all distinct source/sink pairs.
 pub fn simulated_ard(

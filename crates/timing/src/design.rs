@@ -380,12 +380,6 @@ impl Design {
             }
         }
     }
-
-    /// Total repeater cost added across all nets, in 1X-buffer
-    /// equivalents.
-    pub fn total_repeater_cost(&self) -> f64 {
-        self.nets.iter().map(|n| n.repeater_cost).sum()
-    }
 }
 
 /// The *stage delay* of a net under an assignment: the worst

@@ -15,8 +15,9 @@
 //!    brute-force enumeration (Theorem 4.1), gated on search-space size.
 //! 3. `wires_dp_vs_exhaustive` — the wire-sizing DP vs brute force over
 //!    joint repeater × driver × wire-width choices.
-//! 4. `arena_vs_alloc` — `optimize` vs `optimize_in` with a reused
-//!    [`MsriWorkspace`]: the fused arena path must be *bit-identical*.
+//! 4. `arena_vs_alloc` — `optimize`, which solves on a fresh
+//!    [`MsriWorkspace`], vs `optimize_in` on a primed one: recycled
+//!    arena buffers must leave the frontier *bit-identical*.
 //! 5. `batch_parallel_vs_sequential` — the multi-net engine at 3 threads
 //!    vs 1 thread, compared with [`reports_bit_identical`].
 //! 6. `feasibility_consistency` — `optimize` returns `NoFeasiblePair`
@@ -553,8 +554,8 @@ fn check_arena_vs_alloc(inst: &Instance) -> CheckOutcome {
                 ));
             }
             for (i, (pa, pb)) in a.points().iter().zip(b.points()).enumerate() {
-                // Bit-identical contract: the arena path is the same
-                // arithmetic in the same order, only without allocation.
+                // Bit-identical contract: both runs use the arena, and
+                // buffers recycled from the priming run change no bit.
                 if pa.cost.to_bits() != pb.cost.to_bits()
                     || pa.ard.to_bits() != pb.ard.to_bits()
                     || pa.assignment != pb.assignment

@@ -183,7 +183,7 @@ impl VerifyReport {
 #[test]
 fn regression_{fn_name}() {{
     let text = std::fs::read_to_string("{msr}").expect("repro file");
-    let parsed = msrnet_cli::format::parse_net_file(&text).expect("valid .msr");
+    let parsed = msrnet_netgen::format::parse_net_file(&text).expect("valid .msr");
     let inst = msrnet_verify::Instance::from_net("{case}", parsed.net, parsed.library);
     match msrnet_verify::run_named("{check}", &inst) {{
         Some(msrnet_verify::CheckOutcome::Fail(msg)) => panic!("still failing: {{msg}}"),
