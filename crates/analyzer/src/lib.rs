@@ -129,12 +129,13 @@ pub struct SourcesAnalysis {
 /// Analyzes a set of source files together, in three phases:
 ///
 /// 1. **parse and token lints** per file: the AST marks test code,
-///    and D1/D3/W1 run outside it, suppressing against each file's
-///    `msrnet-allow` markers, which stay alive;
+///    and D1/D3/W1 and S3's `partial_cmp` calls are found outside it,
+///    suppressing against each file's `msrnet-allow` markers, which
+///    stay alive;
 /// 2. **semantic lints** over the cross-file symbol table and call
 ///    graph — S1 panic-reachability (with site-level `panic` audits
-///    consuming markers), S2 lock-discipline, S3 NaN ordering —
-///    suppressed against the same marker sets;
+///    consuming markers), S2 lock-discipline, S3 NaN taint reaching
+///    `total_cmp` — suppressed against the same marker sets;
 /// 3. **marker hygiene** (M1), last, so a marker used by *any* phase
 ///    is not reported as unused.
 ///
@@ -252,14 +253,16 @@ pub fn analyze_sources(files: &[SourceFile], deps: &[(String, Vec<String>)]) -> 
 }
 
 /// Lints one Rust source file (token and semantic passes, with the
-/// file as the whole analysis universe).
+/// file as the whole analysis universe). Diagnostics come back in
+/// source order.
 pub fn analyze_file(ctx: &FileCtx, text: &str) -> FileAnalysis {
     let files = [SourceFile {
         ctx: ctx.clone(),
         text: text.to_string(),
     }];
     let deps = [(ctx.crate_name.clone(), Vec::new())];
-    let a = analyze_sources(&files, &deps);
+    let mut a = analyze_sources(&files, &deps);
+    a.diagnostics.sort_by_key(|d| (d.line, d.col, d.lint));
     FileAnalysis {
         diagnostics: a.diagnostics,
         suppressed: a.suppressed,

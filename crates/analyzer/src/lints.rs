@@ -1,10 +1,11 @@
-//! The token-level lints: D1, D3, W1.
+//! The token-level lints: D1, D3, W1, and S3's `partial_cmp` calls.
 //!
 //! Each lint walks the lexed token stream of one file, skipping the
 //! test items the AST found ([`crate::ast::test_spans`]), and emits
 //! [`Diagnostic`]s at exact spans. They stay token-level because the
-//! AST skips types, and D1 must see `HashMap` in fields and
-//! signatures.
+//! AST skips types and code outside fn bodies: D1 must see `HashMap`
+//! in fields and signatures, and S3 a `partial_cmp` call in a
+//! `macro_rules!` body or a `static` initializer.
 //!
 //! Marker suppression happens in [`token_phase`]; marker hygiene
 //! (`M1`) is deferred to the end of the multi-file pipeline
@@ -177,6 +178,21 @@ fn lint_tokens(
                         "`Instant::now()` outside bench/cli: wall-clock reads make output \
                          timing-dependent; confine them to the front ends or justify with \
                          `msrnet-allow: wall-clock <reason>`"
+                            .to_string(),
+                    ));
+                }
+                // S3 — every `partial_cmp` call, method or path: the
+                // ordering it returns is not total. A `fn partial_cmp`
+                // definition is not a call.
+                "partial_cmp" if tx(i + 1) == "(" && (i == 0 || tx(i - 1) != "fn") => {
+                    out.push(diag(
+                        ctx,
+                        Lint::S3,
+                        t,
+                        text,
+                        "NaN-unsafe ordering: `partial_cmp` is not total (it returns `None` on \
+                         NaN); use `f64::total_cmp`, or justify with \
+                         `msrnet-allow: nan-taint <reason>`"
                             .to_string(),
                     ));
                 }

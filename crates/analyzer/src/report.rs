@@ -129,7 +129,7 @@ pub struct SemanticStats {
     pub lock_sites: usize,
     /// Taint sources seen by S3.
     pub taint_sources: usize,
-    /// Ordering sinks (total_cmp/partial_cmp) checked by S3.
+    /// `total_cmp` ordering sinks checked by S3's taint pass.
     pub taint_sinks: usize,
 }
 

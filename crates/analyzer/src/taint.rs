@@ -1,13 +1,14 @@
-//! The S3 NaN-ordering lint.
+//! The S3 NaN-ordering lint, `total_cmp` half.
 //!
-//! Every `partial_cmp` call in non-test code is flagged outright: it
-//! is not a total order (it returns `None` on NaN), and every workspace
-//! ordering must be total. `total_cmp` is total, but only safe when its
-//! operands are actually comparable in the intended order: a NaN
-//! produced upstream silently sorts *after* every finite value, which
-//! reorders candidate lists and breaks the determinism story in a way
-//! no panic ever reports. So S3 also tracks, within each function,
-//! which values are *possibly NaN*:
+//! Every `partial_cmp` call in non-test code is flagged outright, by
+//! the token pass (`lints.rs`), which also sees calls outside fn
+//! bodies: it is not a total order (it returns `None` on NaN), and
+//! every workspace ordering must be total. `total_cmp` is total, but
+//! only safe when its operands are actually comparable in the intended
+//! order: a NaN produced upstream silently sorts *after* every finite
+//! value, which reorders candidate lists and breaks the determinism
+//! story in a way no panic ever reports. So S3 also tracks, within each
+//! function, which values are *possibly NaN*:
 //!
 //! * **sources** — division (unless the divisor is a non-zero numeric
 //!   literal), `powf`/`sqrt`/`ln`/`log*`/`asin`/`acos`, unvalidated
@@ -152,7 +153,8 @@ impl<'a> Pass<'a> {
                     args.iter().map(|a| self.expr(a, env)).collect();
                 let arg_taint = ats.iter().flatten().next().cloned();
                 if name == "partial_cmp" {
-                    self.flag_partial_cmp(e);
+                    // An ordering is never NaN; the call itself is
+                    // reported by the token pass.
                     return None;
                 }
                 if name == "total_cmp" {
@@ -192,8 +194,6 @@ impl<'a> Pass<'a> {
                         Some("from_str") => {
                             return self.fresh(e.span.line, "an unvalidated parse");
                         }
-                        // `f64::partial_cmp(a, b)`, spanned at the path.
-                        Some("partial_cmp") => self.flag_partial_cmp(e),
                         _ => {}
                     }
                 } else {
@@ -387,35 +387,6 @@ impl<'a> Pass<'a> {
 
     /// Flags a possibly-NaN value reaching a `total_cmp` call.
     fn sink(&mut self, e: &Expr, src: &Source) {
-        self.report(
-            e,
-            "total_cmp",
-            format!(
-                "possibly-NaN value (from {} at line {}) reaches `total_cmp` without a \
-                 finiteness guard; NaN sorts after every finite value and silently \
-                 reorders results — guard with `.is_finite()` or justify with \
-                 `msrnet-allow: nan-taint <reason>`",
-                src.what, src.line
-            ),
-        );
-    }
-
-    /// Flags a `partial_cmp` call whatever its operands: the ordering
-    /// it returns is not total.
-    fn flag_partial_cmp(&mut self, e: &Expr) {
-        if self.emit {
-            self.out.sinks += 1;
-        }
-        self.report(
-            e,
-            "partial_cmp",
-            "NaN-unsafe ordering: `partial_cmp` is not total (it returns `None` on NaN); \
-             use `f64::total_cmp`, or justify with `msrnet-allow: nan-taint <reason>`"
-                .to_string(),
-        );
-    }
-
-    fn report(&mut self, e: &Expr, snippet: &str, message: String) {
         if !self.emit {
             return;
         }
@@ -425,8 +396,14 @@ impl<'a> Pass<'a> {
             line: e.span.line,
             col: e.span.col,
             len: e.span.len,
-            snippet: snippet.to_string(),
-            message,
+            snippet: "total_cmp".to_string(),
+            message: format!(
+                "possibly-NaN value (from {} at line {}) reaches `total_cmp` without a \
+                 finiteness guard; NaN sorts after every finite value and silently \
+                 reorders results — guard with `.is_finite()` or justify with \
+                 `msrnet-allow: nan-taint <reason>`",
+                src.what, src.line
+            ),
             chain: Vec::new(),
         });
     }
@@ -577,7 +554,7 @@ mod tests {
     #[test]
     fn powf_and_nan_constant_are_sources() {
         let out = run(
-            "fn f(a: f64, b: f64) {\n    let p = a.powf(b);\n    let _ = p.total_cmp(&a);\n    let n = f64::NAN;\n    let _ = n.partial_cmp(&a);\n}\n",
+            "fn f(a: f64, b: f64) {\n    let p = a.powf(b);\n    let _ = p.total_cmp(&a);\n    let n = f64::NAN;\n    let _ = n.total_cmp(&a);\n}\n",
         );
         assert_eq!(out.diags.len(), 2, "{:?}", out.diags);
         assert_eq!(out.sources, 2);

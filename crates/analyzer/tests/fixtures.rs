@@ -155,10 +155,10 @@ fn production_cfgs_mentioning_test_are_linted() {
     assert_eq!(
         found,
         vec![
-            (Lint::W1, 11, "Instant"),
-            (Lint::D1, 12, "HashMap"),
             (Lint::S1, 5, "prod"),
             (Lint::S1, 10, "clocked"),
+            (Lint::W1, 11, "Instant"),
+            (Lint::D1, 12, "HashMap"),
         ],
         "{:?}",
         a.diagnostics
@@ -216,6 +216,30 @@ fn s3_bad_flags_division_reaching_total_cmp_and_partial_cmp() {
         assert!(s3[0].message.contains("finiteness guard"), "{}", s3[0].message);
         assert_eq!(s3[1].snippet, "partial_cmp");
         assert!(s3[1].message.contains("not total"), "{}", s3[1].message);
+    }
+}
+
+#[test]
+fn s3_flags_partial_cmp_outside_fn_bodies() {
+    let text = fixture("s3_outside_fns_bad.rs");
+    // Every call line: the macro body, the static initializer, the fn
+    // body — not the comment header or the `fn partial_cmp` definition.
+    let calls: Vec<u32> = (1u32..)
+        .zip(text.lines())
+        .filter(|(_, l)| !l.starts_with("//") && l.contains("partial_cmp(") && !l.contains("fn "))
+        .map(|(n, _)| n)
+        .collect();
+    assert_eq!(calls.len(), 3, "fixture holds three call sites");
+    for kind in [FileKind::Library, FileKind::FrontEnd] {
+        let a = analyze("s3_outside_fns_bad.rs", kind);
+        let s3: Vec<u32> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.lint == Lint::S3 && d.snippet == "partial_cmp")
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(s3, calls, "{:?}", a.diagnostics);
+        assert_eq!(a.diagnostics.len(), 3, "{:?}", a.diagnostics);
     }
 }
 

@@ -2,20 +2,17 @@
 //!
 //! * divide-and-conquer MFS (paper Fig. 4, the default),
 //! * naive pairwise MFS (same result, more comparisons),
-//! * cost-sorted sweep MFS at eps = 0 (same result, scalar prefilters),
 //! * whole-domain-only dominance (no partial-region invalidation —
-//!   quantifies the value of *functional* pruning),
-//! * approximate sweep at eps = 0.01 (relaxed dominance; frontier within
-//!   a (1+eps) factor, not bit-identical).
+//!   quantifies the value of *functional* pruning).
 //!
-//! All exact strategies return identical frontiers (verified by the test
+//! All three strategies return identical frontiers (verified by the test
 //! suite); this binary compares their cost. The second section repeats
 //! the ablation on the asymmetric multi-cost library — the
 //! Pareto-explosion regime where distinct cost denominations keep joins
-//! from merging cost classes — which is where the join cutoffs and the
-//! sorted sweep earn their keep. The third section ablates the
-//! *predictive* pre-bounds (Li–Shi bound-before-materialize) against
-//! block pruning alone: same frontier bits, fewer candidates ever built.
+//! from merging cost classes — which is where the join cutoffs earn
+//! their keep. The third section ablates the *predictive* pre-bounds
+//! (Li–Shi bound-before-materialize) against block pruning alone: same
+//! frontier bits, fewer candidates ever built.
 //!
 //! Run with: `cargo run --release -p msrnet-bench --bin mfs_ablation`
 //! Pass `--json PATH` to also write the predictive-section candidate
@@ -25,12 +22,10 @@ use msrnet_bench::{ablation_run, multicost_asym_library, Instance, SPACING};
 use msrnet_core::{MsriOptions, MsriStats, PruningStrategy};
 use msrnet_netgen::{table1, TechParams};
 
-const STRATEGIES: [(&str, PruningStrategy); 5] = [
+const STRATEGIES: [(&str, PruningStrategy); 3] = [
     ("divide-conquer", PruningStrategy::DivideConquer),
     ("naive pairwise", PruningStrategy::Naive),
-    ("approx eps=0", PruningStrategy::Approximate { eps: 0.0 }),
     ("whole-domain only", PruningStrategy::WholeDomainOnly),
-    ("approx eps=0.01", PruningStrategy::Approximate { eps: 0.01 }),
 ];
 
 /// Sums the per-step scalar/PWL prune counters over all DP subroutines.
@@ -247,6 +242,6 @@ fn main() {
     println!("alive (larger sets, slower); functional region-wise pruning is what");
     println!("makes the PWL characterization practical (paper §IV-D). In the");
     println!("multi-cost regime the join cutoffs (counted under scalar-prn) kill");
-    println!("hopeless products before materialization; the eps = 0 sorted sweep prunes");
-    println!("the same frontier as divide-and-conquer, well ahead of naive pairwise.");
+    println!("hopeless products before materialization; divide-and-conquer prunes");
+    println!("the same frontier as naive pairwise with fewer comparisons.");
 }

@@ -48,7 +48,7 @@ const USAGE: &str = "usage:
   msrnet-cli ard FILE [--root T]
   msrnet-cli optimize FILE [--root T] [--spec PS] [--driver-cost C]
                        [--sizes 1,2,4] [--widths 1,2,4 [--width-cost C/um]]
-                       [--pruning divide-conquer|naive|whole-domain|approx:EPS]
+                       [--pruning divide-conquer|naive|whole-domain]
                        [--stats]
   msrnet-cli batch [FILES...] [--count N --terminals T --seed S [--spacing UM]]
                        [--threads K] [--driver-cost C] [--pruning STRATEGY]
@@ -241,10 +241,8 @@ fn pruning_flag(f: &Flags<'_>) -> Result<PruningStrategy, String> {
 
 /// Deterministic pruning-statistics JSON for `optimize --stats`: no
 /// timing fields, so the output is byte-stable for a fixed input and can
-/// be pinned by a golden-file test. The `approx` block reports the
-/// machine-checked end-to-end error budget: the frontier is within a
-/// factor `budget_factor` = (1+eps)^`relax_ledger` of the exact one.
-fn stats_json(curve: &TradeoffCurve, pruning: PruningStrategy) -> String {
+/// be pinned by a golden-file test.
+fn stats_json(curve: &TradeoffCurve) -> String {
     let s = curve.stats();
     let step = |st: &StepStats| {
         format!(
@@ -258,13 +256,10 @@ fn stats_json(curve: &TradeoffCurve, pruning: PruningStrategy) -> String {
             st.peak_set
         )
     };
-    let eps = pruning.eps();
     format!(
         "{{\n  \"generated\": {},\n  \"surviving\": {},\n  \"prunes\": {},\n  \
          \"max_set_size\": {},\n  \"max_segments\": {},\n  \"peak_set\": {},\n  \
-         \"tradeoff_points\": {},\n  \"approx\": {{\"eps\": {}, \"relaxed_kills\": {}, \
-         \"relax_ledger\": {}, \"budget_factor\": {}}},\n  \
-         \"steps\": {{\n    \"leaf\": {},\n    \
+         \"tradeoff_points\": {},\n  \"steps\": {{\n    \"leaf\": {},\n    \
          \"augment\": {},\n    \"join\": {},\n    \"repeater\": {}\n  }}\n}}",
         s.generated,
         s.surviving,
@@ -273,10 +268,6 @@ fn stats_json(curve: &TradeoffCurve, pruning: PruningStrategy) -> String {
         s.max_segments,
         s.peak_set(),
         curve.len(),
-        eps,
-        s.relaxed_kills,
-        s.relax_ledger,
-        s.budget_factor(eps),
         step(&s.leaf),
         step(&s.augment),
         step(&s.join),
@@ -341,7 +332,7 @@ fn cmd_optimize(args: &[&String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     println!("{curve}");
     if f.has("stats") {
-        println!("{}", stats_json(&curve, options.pruning));
+        println!("{}", stats_json(&curve));
     }
     if let Some(spec) = f.get("spec") {
         let spec = parse_finite("spec", spec)?;

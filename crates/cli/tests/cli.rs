@@ -184,17 +184,17 @@ fn pruning_flag_is_validated_on_every_entry_point() {
     let trace = dir.join("trace.json");
     std::fs::write(&trace, "{\"edits\": []}").expect("write trace");
 
-    // Valid strategies run on optimize and batch...
+    // Valid strategies run on optimize, batch and edits...
     let out = run_ok(bin().args([
         "optimize", net.to_str().expect("utf8"),
-        "--pruning", "approx:0.05", "--stats",
+        "--pruning", "naive", "--stats",
     ]));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"approx\""), "stats JSON reports the approx block");
-    assert!(stdout.contains("\"budget_factor\""), "stats JSON reports the budget");
+    assert!(stdout.contains("\"steps\""), "stats JSON reports the per-step rows");
+    assert!(!stdout.contains("\"approx\""), "no approximation block is reported");
     run_ok(bin().args([
         "batch", "--count", "1", "--terminals", "4", "--seed", "3",
-        "--pruning", "approx:0",
+        "--pruning", "whole-domain",
     ]));
     run_ok(bin().args([
         "edits", net.to_str().expect("utf8"),
@@ -203,23 +203,28 @@ fn pruning_flag_is_validated_on_every_entry_point() {
     ]));
 
     // ...and every entry point rejects a malformed strategy through the
-    // one shared parser.
-    for cmd in [
-        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "quantum"],
-        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "approx:nope"],
-        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "approx:1.5"],
-        vec!["batch", "--count", "1", "--pruning", "quantum"],
+    // one shared parser; `approx:EPS` names no strategy.
+    let edits = |strategy: &'static str| {
         vec![
             "edits",
             net.to_str().expect("utf8"),
             "--trace",
             trace.to_str().expect("utf8"),
             "--pruning",
-            "approx:-0.1",
-        ],
+            strategy,
+        ]
+    };
+    for cmd in [
+        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "quantum"],
+        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "approx:0.05"],
+        vec!["optimize", net.to_str().expect("utf8"), "--pruning", "approx:0"],
+        vec!["batch", "--count", "1", "--pruning", "quantum"],
+        vec!["batch", "--count", "1", "--pruning", "approx:0.05"],
+        edits("approx:0.05"),
+        edits("approx:-0.1"),
     ] {
         let out = bin().args(&cmd).output().expect("spawn");
-        assert!(!out.status.success(), "{cmd:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{cmd:?} must exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--pruning"), "{cmd:?} stderr names the flag: {stderr}");
     }
@@ -231,6 +236,62 @@ fn pruning_flag_is_validated_on_every_entry_point() {
         .expect("spawn");
     assert!(!out.status.success(), "ard must reject --pruning as unknown");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn non_finite_and_negative_net_values_exit_1_naming_the_line() {
+    let dir = tmpdir("non-finite");
+    let net = dir.join("net.msr");
+    run_ok(bin().args([
+        "gen", "--terminals", "4", "--seed", "3", "--spacing", "2000",
+        "-o", net.to_str().expect("utf8"),
+    ]));
+    let text = std::fs::read_to_string(&net).expect("net file written");
+    let lines: Vec<&str> = text.lines().collect();
+    let find = |prefix: &str| {
+        lines.iter().position(|l| l.starts_with(prefix)).expect("line present")
+    };
+    // Rewrites the value of one `key=value` word.
+    let set = |line: &str, key: &str, value: &str| {
+        line.split(' ')
+            .map(|w| match w.split_once('=') {
+                Some((k, _)) if k == key => format!("{key}={value}"),
+                _ => w.to_owned(),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    // (line to rewrite, its replacement) — each edit alone must fail.
+    let wire = find("wire ");
+    let tech = find("tech ");
+    let terminal = find("terminal ");
+    let repeater = find("repeater ");
+    let edits = [
+        (wire, format!("{} res_scale=nan", lines[wire])),
+        (wire, format!("{} res_scale=-1", lines[wire])),
+        (wire, format!("{} cap_scale=nan", lines[wire])),
+        (wire, format!("{} cap_scale=-1", lines[wire])),
+        (tech, "tech nan 0.00035".to_owned()),
+        (terminal, set(lines[terminal], "cap", "nan")),
+        (repeater, set(lines[repeater], "cost", "nan")),
+    ];
+    for (i, (at, replacement)) in edits.iter().enumerate() {
+        let mut mutated = lines.clone();
+        mutated[*at] = replacement;
+        let bad = dir.join(format!("bad{i}.msr"));
+        std::fs::write(&bad, mutated.join("\n") + "\n").expect("write mutated net");
+        let out = bin()
+            .args(["optimize", bad.to_str().expect("utf8")])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{replacement}: {stderr}");
+        assert!(
+            stderr.contains(&format!("line {}:", at + 1)),
+            "{replacement}: stderr names the line: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

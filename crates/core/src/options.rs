@@ -230,12 +230,10 @@ impl Default for WireOption {
 
 /// How the solution sets are pruned between dynamic-programming steps.
 ///
-/// `DivideConquer`, `Naive` and `WholeDomainOnly` are exact: they
-/// produce identical trade-off curves. `Approximate` trades a bounded
-/// relative error for smaller candidate sets; with `eps = 0.0` it too is
-/// exact.
-// No `Eq`: `Approximate` carries an `f64`.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// All three strategies are exact: they produce identical trade-off
+/// curves. `Naive` is the reference oracle and `WholeDomainOnly` the
+/// Fig. 4 ablation baseline.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PruningStrategy {
     /// The paper's divide-and-conquer MFS (Fig. 4) — the default.
     #[default]
@@ -247,64 +245,26 @@ pub enum PruningStrategy {
     /// Correct but weaker — kept to quantify the value of functional
     /// (region-wise) pruning.
     WholeDomainOnly,
-    /// Cost-sorted sweep MFS ([`msrnet_pwl::mfs_sorted_sweep`]) with
-    /// eps-relative coalescing: candidates are sorted by `(cost, cap, …)`
-    /// with `total_cmp`, scalar/summary-dominated ones are eliminated
-    /// before any PWL region comparison (Li–Shi-style predicate
-    /// ordering), and candidates within a relative `eps` of a kept
-    /// candidate in every dimension are dropped, with a (1+eps) coverage
-    /// guarantee on the resulting frontier. `eps` must be in `[0, 1)`;
-    /// `eps = 0.0` is exact — same frontiers as the default.
-    Approximate {
-        /// Relative coalescing tolerance, in `[0, 1)`.
-        eps: f64,
-    },
 }
 
 impl PruningStrategy {
     /// Parses the canonical spelling used by every entry point (CLI
     /// flags, batch job specs, the service protocol):
-    /// `divide-conquer`, `naive`, `whole-domain`, or
-    /// `approx:EPS` with `EPS` a finite float in `[0, 1)`.
+    /// `divide-conquer`, `naive` or `whole-domain`.
     ///
     /// This is the single parser all surfaces share, so a strategy
     /// round-trips unchanged through [`fmt::Display`] regardless of
     /// which layer carried it.
     pub fn parse(s: &str) -> Result<Self, String> {
-        if let Some(eps) = s.strip_prefix("approx:") {
-            let eps: f64 = eps
-                .parse()
-                .map_err(|_| format!("invalid approx eps: {eps}"))?;
-            if !eps.is_finite() || !(0.0..1.0).contains(&eps) {
-                return Err(format!("approx eps must be in [0, 1), got {eps}"));
-            }
-            return Ok(PruningStrategy::Approximate { eps });
-        }
         match s {
             "divide-conquer" => Ok(PruningStrategy::DivideConquer),
             "naive" => Ok(PruningStrategy::Naive),
             "whole-domain" => Ok(PruningStrategy::WholeDomainOnly),
             _ => Err(format!(
                 "unknown pruning strategy '{s}' \
-                 (expected divide-conquer, naive, whole-domain, or approx:EPS)"
+                 (expected divide-conquer, naive or whole-domain)"
             )),
         }
-    }
-
-    /// The `eps` of [`PruningStrategy::Approximate`], 0 otherwise — the
-    /// per-step relative slack entering the `(1+eps)^L` budget.
-    pub fn eps(&self) -> f64 {
-        match self {
-            PruningStrategy::Approximate { eps } => *eps,
-            _ => 0.0,
-        }
-    }
-
-    /// Whether pruning is exact (bit-identical frontiers across all
-    /// exact strategies). `approx:0` counts as exact.
-    pub fn is_exact(&self) -> bool {
-        // msrnet-allow: float-eq eps == 0.0 is the documented exact-path sentinel
-        self.eps() == 0.0
     }
 }
 
@@ -314,7 +274,6 @@ impl fmt::Display for PruningStrategy {
             PruningStrategy::DivideConquer => write!(f, "divide-conquer"),
             PruningStrategy::Naive => write!(f, "naive"),
             PruningStrategy::WholeDomainOnly => write!(f, "whole-domain"),
-            PruningStrategy::Approximate { eps } => write!(f, "approx:{eps}"),
         }
     }
 }
@@ -366,8 +325,12 @@ pub enum MsriError {
     TerminalNotLeaf(TerminalId),
     /// The chosen root terminal is not a leaf of the topology.
     RootNotLeaf(TerminalId),
-    /// A terminal has an empty option menu.
+    /// The chosen root names no terminal of the net.
+    RootOutOfRange(TerminalId),
+    /// A terminal has an empty or missing option menu.
     NoOptions(TerminalId),
+    /// The wire-width menu is empty.
+    NoWireOptions,
     /// No distinct source/sink terminal pair exists, so the ARD is
     /// undefined.
     NoFeasiblePair,
@@ -383,7 +346,9 @@ impl fmt::Display for MsriError {
                 write!(f, "terminal {t} is not a leaf; normalize the net first")
             }
             MsriError::RootNotLeaf(t) => write!(f, "root terminal {t} is not a leaf"),
+            MsriError::RootOutOfRange(t) => write!(f, "root terminal {t} does not exist"),
             MsriError::NoOptions(t) => write!(f, "terminal {t} has no driver options"),
+            MsriError::NoWireOptions => write!(f, "no wire options; at least one is required"),
             MsriError::NoFeasiblePair => {
                 write!(f, "no distinct source/sink pair; the ARD is undefined")
             }
@@ -472,32 +437,20 @@ mod tests {
             PruningStrategy::DivideConquer,
             PruningStrategy::Naive,
             PruningStrategy::WholeDomainOnly,
-            PruningStrategy::Approximate { eps: 0.05 },
-            PruningStrategy::Approximate { eps: 0.0 },
         ];
         for s in all {
             let text = s.to_string();
             assert_eq!(PruningStrategy::parse(&text), Ok(s), "round-trip {text}");
         }
-        assert_eq!(PruningStrategy::parse("approx:0.25"), Ok(PruningStrategy::Approximate { eps: 0.25 }));
     }
 
     #[test]
     fn pruning_strategy_parse_rejects_garbage() {
         assert!(PruningStrategy::parse("fancy").is_err());
-        assert!(PruningStrategy::parse("approx:").is_err());
-        assert!(PruningStrategy::parse("approx:nan").unwrap_err().contains("[0, 1)"));
-        assert!(PruningStrategy::parse("approx:1.0").is_err());
-        assert!(PruningStrategy::parse("approx:-0.1").is_err());
-        assert!(PruningStrategy::parse("approx:inf").is_err());
-    }
-
-    #[test]
-    fn pruning_strategy_eps_and_exactness() {
-        assert_eq!(PruningStrategy::DivideConquer.eps(), 0.0);
-        assert_eq!(PruningStrategy::Approximate { eps: 0.1 }.eps(), 0.1);
-        assert!(PruningStrategy::Naive.is_exact());
-        assert!(PruningStrategy::Approximate { eps: 0.0 }.is_exact());
-        assert!(!PruningStrategy::Approximate { eps: 0.1 }.is_exact());
+        assert!(PruningStrategy::parse("").is_err());
+        for eps in ["approx:0", "approx:0.05", "approx:"] {
+            let err = PruningStrategy::parse(eps).unwrap_err();
+            assert!(err.contains("unknown pruning strategy"), "{eps}: {err}");
+        }
     }
 }

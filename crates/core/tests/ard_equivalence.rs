@@ -80,14 +80,12 @@ fn star_net(seg: f64) -> Net {
     b.build().expect("valid star net")
 }
 
-/// All pruning strategies that must reproduce the exact frontier
-/// bit-for-bit (Approximate at eps = 0 included — its relaxation is the
-/// identity there).
-const EXACT_STRATEGIES: [PruningStrategy; 4] = [
+/// The pruning strategies, all of which must reproduce the exact
+/// frontier bit-for-bit.
+const EXACT_STRATEGIES: [PruningStrategy; 3] = [
     PruningStrategy::DivideConquer,
     PruningStrategy::Naive,
     PruningStrategy::WholeDomainOnly,
-    PruningStrategy::Approximate { eps: 0.0 },
 ];
 
 fn assert_strategies_agree(net: &Net, lib: &[Repeater], allow_inverting: bool, label: &str) {
@@ -232,8 +230,8 @@ fn directional_two_terminal_net_agrees() {
 fn high_insertion_point_multicost_chain_strategies_and_oracles_agree() {
     // A 10-insertion-point chain under the three-cost asymmetric library
     // puts the DP estimate well past the old `dp_intractable` gate
-    // ((10+1)^4 ≈ 1.5e4); the sorted sweep and join cutoffs are what
-    // make it cheap. Every exact strategy must agree bit-for-bit, and
+    // ((10+1)^4 ≈ 1.5e4); the join cutoffs and predictive pre-bounds
+    // are what make it cheap. Every strategy must agree bit-for-bit, and
     // each frontier point must be realizable under BOTH independent ARD
     // oracles — the cross-check the verify harness used to skip here.
     let net = chain_net(10, 700.0);

@@ -278,8 +278,7 @@ fn pruning_strategies_agree() {
         for strategy in [
             PruningStrategy::DivideConquer,
             PruningStrategy::Naive,
-                    PruningStrategy::WholeDomainOnly,
-            PruningStrategy::Approximate { eps: 0.0 },
+            PruningStrategy::WholeDomainOnly,
         ] {
             let o = MsriOptions {
                 pruning: strategy,

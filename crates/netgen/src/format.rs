@@ -19,9 +19,11 @@
 //! ```
 //!
 //! * `arrival=-` / `downstream=-` mean "not a source" / "not a sink"
-//!   (`−∞` in the model, paper §II).
+//!   (`−∞` in the model, paper §II). That is the only way to write a
+//!   non-finite value: `nan`, `inf` and `-inf` are refused everywhere.
 //! * `wire` length defaults to the rectilinear distance of its
-//!   endpoints; `res_scale`/`cap_scale` carry wire-width scaling.
+//!   endpoints; `res_scale`/`cap_scale` carry wire-width scaling and
+//!   must not be negative.
 //! * Names must be unique; wires refer to names.
 
 use std::collections::BTreeMap;
@@ -79,8 +81,9 @@ impl std::error::Error for ParseNetError {}
 /// # Errors
 ///
 /// Returns a [`ParseNetError`] naming the offending line for syntax
-/// problems, unknown vertex references, duplicate names, or a net that
-/// fails validation.
+/// problems, non-finite numbers, negative technology values, wire
+/// lengths or wire scales, unknown vertex references, duplicate names,
+/// or a net that fails validation.
 pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
     let mut builder: Option<NetBuilder> = None;
     let mut ids: BTreeMap<String, VertexId> = BTreeMap::new();
@@ -168,23 +171,24 @@ pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
                 let e = match kv.get("length") {
                     Some(v) => {
                         let len = parse_num(lineno, v)?;
-                        if !(len.is_finite() && len >= 0.0) {
+                        if len < 0.0 {
                             return Err(ParseNetError::new(lineno, "invalid wire length"));
                         }
                         b.wire_with_length(a, bb, len)
                     }
                     None => b.wire(a, bb),
                 };
-                let rs = kv
-                    .get("res_scale")
-                    .map(|v| parse_num(lineno, v))
-                    .transpose()?
-                    .unwrap_or(1.0);
-                let cs = kv
-                    .get("cap_scale")
-                    .map(|v| parse_num(lineno, v))
-                    .transpose()?
-                    .unwrap_or(1.0);
+                let scale = |key: &str| match kv.get(key) {
+                    None => Ok(1.0),
+                    Some(v) => match parse_num(lineno, v)? {
+                        x if x < 0.0 => {
+                            Err(ParseNetError::new(lineno, format!("negative `{key}` {x}")))
+                        }
+                        x => Ok(x),
+                    },
+                };
+                let rs = scale("res_scale")?;
+                let cs = scale("cap_scale")?;
                 // msrnet-allow: float-eq 1.0 is the exact parsed default; scaling is skipped only for bit-exact unit factors
                 if rs != 1.0 || cs != 1.0 {
                     deferred.push((e, rs, cs));
@@ -268,9 +272,13 @@ fn keyvals<'a>(
     Ok(kv)
 }
 
+/// Parses a finite number: `nan` and the infinities are refused.
 fn parse_num(line: usize, s: &str) -> Result<f64, ParseNetError> {
-    s.parse::<f64>()
-        .map_err(|_| ParseNetError::new(line, format!("invalid number `{s}`")))
+    match s.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        Ok(_) => Err(ParseNetError::new(line, format!("non-finite number `{s}`"))),
+        Err(_) => Err(ParseNetError::new(line, format!("invalid number `{s}`"))),
+    }
 }
 
 /// `key=-` means −∞ (non-source / non-sink); missing key means 0.
@@ -507,6 +515,47 @@ repeater irep a2b=25,90 b2a=30,95 cap=0.025,0.03 cost=1 inverting
         let err = parse_net_file(bad).unwrap_err();
         assert_eq!(err.line, 0);
         assert!(err.message.contains("tree"));
+    }
+
+    #[test]
+    fn non_finite_and_negative_values_name_their_line() {
+        const HEAD: &str = "tech 0.03 0.00035\n";
+        const NET: &str = "terminal a 0 0 cap=0.05 res=180\nterminal b 900 0 cap=0.05\n";
+        let wire = |kv: &str| format!("{HEAD}{NET}wire a b {kv}\n");
+        let term = |kv: &str| format!("{HEAD}terminal a 0 0 cap=1 {kv}\n");
+        let rep = |kv: &str| format!("{HEAD}{NET}wire a b\nrepeater r {kv}\n");
+        let cases = [
+            (wire("res_scale=nan"), 4, "non-finite"),
+            (wire("res_scale=-1"), 4, "negative `res_scale`"),
+            (wire("cap_scale=nan"), 4, "non-finite"),
+            (wire("cap_scale=-1"), 4, "negative `cap_scale`"),
+            (wire("res_scale=inf"), 4, "non-finite"),
+            (wire("length=inf"), 4, "non-finite"),
+            ("tech nan 0.00035\n".to_owned(), 1, "non-finite"),
+            ("tech 0.03 inf\n".to_owned(), 1, "non-finite"),
+            (rep("a2b=1,1 b2a=1,1 cap=1,1 cost=nan"), 5, "non-finite"),
+            (rep("a2b=1,inf b2a=1,1 cap=1,1 cost=1"), 5, "non-finite"),
+            (format!("{HEAD}terminal a 0 0 cap=nan\n"), 2, "non-finite"),
+            (term("arrival=-inf"), 2, "non-finite"),
+            (term("downstream=inf"), 2, "non-finite"),
+            (term("res=NaN"), 2, "non-finite"),
+            (format!("{HEAD}steiner s inf 0\n"), 2, "non-finite"),
+        ];
+        for (text, line, what) in cases {
+            let err = parse_net_file(&text).expect_err(&text);
+            assert_eq!(err.line, line, "{text}");
+            assert!(err.message.contains(what), "{text}: {err}");
+            assert!(err.to_string().contains(&format!("line {line}:")), "{err}");
+        }
+        // `-` is still the spelling of −∞, and zero scales stay legal.
+        let ok = format!(
+            "{HEAD}terminal a 0 0 cap=0.05 res=180 downstream=-\n\
+             terminal b 900 0 cap=0.05 arrival=-\n\
+             wire a b res_scale=0 cap_scale=-0\n"
+        );
+        let f = parse_net_file(&ok).expect("valid");
+        assert_eq!(f.net.terminal(TerminalId(0)).downstream, f64::NEG_INFINITY);
+        assert_eq!(f.net.terminal(TerminalId(1)).arrival, f64::NEG_INFINITY);
     }
 
     #[test]

@@ -61,10 +61,7 @@ mod segment;
 pub use arena::{ArenaCheckpoint, SegmentArena};
 pub use function::{lower_envelope, upper_envelope, Pwl};
 pub use interval::IntervalSet;
-pub use mfs::{
-    mfs_approximate, mfs_divide_conquer, mfs_naive, mfs_sorted_sweep, mfs_sorted_sweep_with,
-    FuncPoint, MfsCounts,
-};
+pub use mfs::{mfs_divide_conquer, mfs_naive, FuncPoint};
 pub use segment::Segment;
 
 /// Comparison tolerance used throughout the PWL algebra, in the units of

@@ -9,7 +9,7 @@
 //! families of scalar+PWL candidates, and that both pruning strategies
 //! expose identical optimal envelopes.
 
-use msrnet_pwl::{mfs_approximate, mfs_divide_conquer, mfs_naive, FuncPoint, Pwl, Segment};
+use msrnet_pwl::{mfs_divide_conquer, mfs_naive, FuncPoint, Pwl, Segment};
 use msrnet_rng::{Rng, SeedableRng, SplitMix64};
 
 const DOMAIN: (f64, f64) = (0.0, 10.0);
@@ -155,83 +155,6 @@ fn strategies_expose_identical_optimal_envelopes() {
                 ),
                 (None, None) => {}
                 _ => panic!("seed {seed}: envelope defined for one strategy only at x={x}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn bucketed_sweep_satisfies_the_coverage_law() {
-    for seed in 0..60u64 {
-        let originals = random_family(seed);
-        let kept0 = mfs_approximate(originals.clone(), 0.0);
-        assert_covered(&originals, &kept0, seed);
-    }
-}
-
-#[test]
-fn bucketed_and_exact_approximate_match_the_naive_envelope() {
-    // Tie representatives may differ between sweep orders, but the
-    // pointwise optimum over survivors must be identical to naive MFS
-    // for the exact sweep (approximate at eps = 0).
-    for seed in 120..170u64 {
-        let originals = random_family(seed);
-        let naive = mfs_naive(originals.clone());
-        let approx0 = mfs_approximate(originals, 0.0);
-        for x in sample_points() {
-            let envelope = |kept: &[FuncPoint<usize>]| -> Option<f64> {
-                kept.iter()
-                    .filter(|s| s.domain().contains(x))
-                    .filter_map(|s| s.pwls[0].eval(x))
-                    .min_by(f64::total_cmp)
-            };
-            match (envelope(&naive), envelope(&approx0)) {
-                (Some(a), Some(b)) => assert!(
-                    (a - b).abs() <= EPS,
-                    "seed {seed}: approx0 envelope diverges at x={x}: {a} vs {b}"
-                ),
-                (None, None) => {}
-                _ => panic!("seed {seed}: approx0 envelope defined differently from naive at x={x}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn approximate_sweep_satisfies_the_relaxed_coverage_law() {
-    // The (1+eps) guarantee: wherever an original candidate was defined,
-    // some survivor is within a (1+eps) relative factor of it in every
-    // scalar and PWL dimension.
-    const APPROX_EPS: f64 = 0.05;
-    let relaxed = |a: f64, b: f64| a <= b + APPROX_EPS * b.abs() + EPS;
-    for seed in 200..260u64 {
-        let originals = random_family(seed);
-        let kept = mfs_approximate(originals.clone(), APPROX_EPS);
-        for x in sample_points() {
-            for orig in &originals {
-                if !orig.domain().contains(x) || orig.pwls.iter().any(|f| f.eval(x).is_none()) {
-                    continue;
-                }
-                let covered = kept.iter().any(|s| {
-                    s.domain().contains(x)
-                        && s.scalars
-                            .iter()
-                            .zip(&orig.scalars)
-                            .all(|(a, b)| relaxed(*a, *b))
-                        && s.pwls.iter().zip(&orig.pwls).all(|(fa, fb)| {
-                            match (fa.eval(x), fb.eval(x)) {
-                                (Some(ya), Some(yb)) => relaxed(ya, yb),
-                                (_, None) => true,
-                                (None, Some(_)) => false,
-                            }
-                        })
-                });
-                assert!(
-                    covered,
-                    "seed {seed}: candidate {} at x={x} lost without a \
-                     (1+eps)-dominating survivor",
-                    orig.payload
-                );
             }
         }
     }

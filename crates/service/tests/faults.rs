@@ -14,7 +14,9 @@
 //! * oversized frame (`Oversized`) and malformed frame (`BadFrame`),
 //!   both followed by a connection drop;
 //! * slow-loris (mid-frame stall → cut);
-//! * connection cap (`Busy`).
+//! * connection cap (`Busy`);
+//! * malformed `open`/`batch` payloads (`ParseError`, counted in
+//!   `requests_error`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -22,6 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use msrnet_incremental::json::json_str;
 use msrnet_netgen::format::write_net_file;
 use msrnet_netgen::{table1, ExperimentNet};
 use msrnet_rng::rngs::StdRng;
@@ -132,6 +135,52 @@ fn disconnect_mid_frame_leaves_sessions_intact() {
     let report_after = b.recompute(session).expect("recompute after fault");
     assert_eq!(report_before, report_after);
     b.close(session).expect("close");
+}
+
+#[test]
+fn malformed_open_and_batch_payloads_are_counted_parse_errors() {
+    let ts = TestServer::spawn(ServerConfig::default());
+    let msr = fixture_msr(15);
+    let mut c = ts.client();
+
+    // Non-finite and negative net values, each of which used to reach an
+    // asserting constructor and panic the connection worker.
+    let edit = |prefix: &str, f: &dyn Fn(&str) -> String| {
+        msr.lines()
+            .map(|l| if l.starts_with(prefix) { f(l) } else { l.to_owned() })
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let bad_nets = [
+        edit("wire ", &|l| format!("{l} res_scale=nan")),
+        edit("wire ", &|l| format!("{l} cap_scale=-1")),
+        edit("tech ", &|_| "tech nan 0.00035".to_owned()),
+    ];
+    for bad in &bad_nets {
+        expect_code(c.open("bad.msr", bad, 0, 0.0), ErrorCode::ParseError);
+    }
+    // `approx:EPS` names no pruning strategy, on open or on batch.
+    expect_code(
+        c.open_with_pruning("a.msr", &msr, 0, 0.0, "approx:0.05"),
+        ErrorCode::ParseError,
+    );
+    let spec = |pruning: &str, net: &str| {
+        format!(
+            "{{\"pruning\": {}, \"nets\": [{{\"name\": \"a\", \"msr\": {}}}]}}",
+            json_str(pruning),
+            json_str(net)
+        )
+    };
+    expect_code(c.batch(&spec("approx:0.05", &msr)), ErrorCode::ParseError);
+    expect_code(c.batch(&spec("naive", &bad_nets[0])), ErrorCode::ParseError);
+
+    // The same connection still serves, and every refusal was counted.
+    c.batch(&spec("naive", &msr)).expect("valid batch");
+    let session = c.open_with_pruning("a.msr", &msr, 0, 0.0, "naive").expect("open");
+    c.close(session).expect("close");
+    let stats = c.stats().expect("stats");
+    assert!(stats.contains("\"requests_error\": 6"), "{stats}");
+    assert!(stats.contains("\"requests_ok\": 3"), "{stats}");
 }
 
 #[test]

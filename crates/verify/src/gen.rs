@@ -403,7 +403,7 @@ fn draw_library(rng: &mut SplitMix64, index: usize) -> Vec<Repeater> {
         _ => {
             // Asymmetric multi-cost: three cost denominations whose
             // pairwise sums stay distinct — the Pareto-explosion regime
-            // the sorted sweep and join cutoffs target.
+            // the join cutoffs and predictive pre-bounds target.
             let b2 = b1.scaled(2.0);
             let b4 = b1.scaled(4.0);
             vec![
