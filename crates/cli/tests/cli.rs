@@ -275,6 +275,8 @@ fn non_finite_and_negative_net_values_exit_1_naming_the_line() {
         (tech, "tech nan 0.00035".to_owned()),
         (terminal, set(lines[terminal], "cap", "nan")),
         (repeater, set(lines[repeater], "cost", "nan")),
+        (terminal, set(lines[terminal], "cap", "-1")),
+        (repeater, set(lines[repeater], "cost", "-2")),
     ];
     for (i, (at, replacement)) in edits.iter().enumerate() {
         let mut mutated = lines.clone();
@@ -292,6 +294,42 @@ fn non_finite_and_negative_net_values_exit_1_naming_the_line() {
             "{replacement}: stderr names the line: {stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn overflowing_parasitics_exit_1_with_a_typed_error() {
+    let dir = tmpdir("overflow");
+    let net = dir.join("net.msr");
+    run_ok(bin().args([
+        "gen", "--terminals", "4", "--seed", "3", "--spacing", "2000",
+        "-o", net.to_str().expect("utf8"),
+    ]));
+    let text = std::fs::read_to_string(&net).expect("net file written");
+    // A finite but huge wire: its resistance times the net's capacitance
+    // is not a finite delay.
+    let mut edited = false;
+    let huge: Vec<String> = text
+        .lines()
+        .map(|l| match l.split_once(" length=") {
+            Some((head, _)) if !edited && l.starts_with("wire ") => {
+                edited = true;
+                format!("{head} length=1e300")
+            }
+            _ => l.to_owned(),
+        })
+        .collect();
+    assert!(edited, "the generated net has a wire with a length");
+    let bad = dir.join("huge.msr");
+    std::fs::write(&bad, huge.join("\n") + "\n").expect("write edited net");
+    let out = bin()
+        .args(["optimize", bad.to_str().expect("utf8")])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("overflow"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no frontier is printed");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -45,7 +45,7 @@ struct Meta {
     parity: bool,
 }
 
-type Cand = FuncPoint<Meta>;
+type Cand = FuncPoint<Meta, 3>;
 
 /// Back-pointers for reconstructing the repeater assignment of a
 /// surviving candidate.
@@ -445,7 +445,8 @@ fn optimize_with_wires_in(
     options: &MsriOptions,
     workspace: &mut MsriWorkspace,
 ) -> Result<TradeoffCurve, MsriError> {
-    validate(net, root, library, term_opts, wire_options, options)?;
+    let bound = cap_bound(net, library, term_opts, wire_options);
+    validate(net, root, library, term_opts, wire_options, options, bound)?;
     let rooted = net.rooted_at_terminal(root);
     let mut trace = Vec::new();
     let mut solver = Solver {
@@ -456,7 +457,7 @@ fn optimize_with_wires_in(
         wire_options,
         options,
         trace: &mut trace,
-        cap_bound: cap_bound(net, library, term_opts, wire_options),
+        cap_bound: bound,
         stats: MsriStats::default(),
         arena: &mut workspace.arena,
         prebounds: LibPrebounds::new(library),
@@ -464,9 +465,11 @@ fn optimize_with_wires_in(
     solver.run(root)
 }
 
-/// Structural validation shared by every optimizer entry point. The
-/// wire menu, the root and the driver menus are checked first: the
-/// solver indexes all three without further checks.
+/// Validation shared by every optimizer entry point. The wire menu, the
+/// root and the driver menus are checked first: the solver indexes all
+/// three without further checks. The overflow check comes last, once
+/// every menu it reads is known to exist; `cap_bound` is the PWL domain
+/// bound the solve will use.
 fn validate(
     net: &Net,
     root: TerminalId,
@@ -474,6 +477,7 @@ fn validate(
     term_opts: &TerminalOptions,
     wire_options: &[WireOption],
     options: &MsriOptions,
+    cap_bound: f64,
 ) -> Result<(), MsriError> {
     if wire_options.is_empty() {
         return Err(MsriError::NoWireOptions);
@@ -501,7 +505,49 @@ fn validate(
             });
         }
     }
+    if !delay_bound(net, library, term_opts, wire_options, cap_bound).is_finite() {
+        return Err(MsriError::Overflow);
+    }
     Ok(())
+}
+
+/// An upper bound on the magnitude of any delay the DP forms: every
+/// resistance a path can cross (all wires at every width scale, every
+/// driver option, every repeater at every insertion point) times the
+/// PWL domain bound, plus every arrival, downstream and intrinsic time,
+/// with 4× headroom for shifted arguments and differences of two delays.
+/// Sums stand in for maxima so that a `NaN` anywhere propagates. Not
+/// finite exactly when the net's parasitics can overflow `f64`.
+fn delay_bound(
+    net: &Net,
+    library: &[Repeater],
+    term_opts: &TerminalOptions,
+    wire_options: &[WireOption],
+    cap_bound: f64,
+) -> f64 {
+    // `-∞` marks "not a source" / "not a sink" and contributes nothing.
+    let time = |x: f64| if x == f64::NEG_INFINITY { 0.0 } else { x.abs() };
+    let res_scales: f64 = wire_options.iter().map(|w| w.res_scale.abs()).sum();
+    let wire_res: f64 = net.topology.edges().map(|e| net.edge_res(e).abs()).sum();
+    let mut drive_res = 0.0;
+    let mut times = 0.0;
+    for t in net.terminal_ids() {
+        let term = net.terminal(t);
+        times += time(term.arrival) + time(term.downstream);
+        for o in term_opts.for_terminal(t) {
+            drive_res += o.drive_res.abs();
+            times += o.arrival_extra.abs() + o.downstream_extra.abs();
+        }
+    }
+    let ips = net.topology.insertion_point_count() as f64;
+    let (rep_res, rep_int) = library.iter().fold((0.0, 0.0), |(r, d), rep| {
+        (
+            r + rep.a_to_b.out_res.abs() + rep.b_to_a.out_res.abs(),
+            d + rep.a_to_b.intrinsic.abs() + rep.b_to_a.intrinsic.abs(),
+        )
+    });
+    let res = wire_res * res_scales + drive_res + ips * rep_res;
+    4.0 * (res * cap_bound + times + ips * rep_int)
 }
 
 /// Per-subtree DP state retained across [`optimize_incremental`] calls:
@@ -700,7 +746,15 @@ pub fn optimize_incremental(
         cap_bound >= required_cap_bound(net, library, term_opts, wire_options),
         "cap_bound below the configuration's required PWL domain bound"
     );
-    validate(net, root, library, term_opts, wire_options, options)?;
+    validate(
+        net,
+        root,
+        library,
+        term_opts,
+        wire_options,
+        options,
+        cap_bound,
+    )?;
     let rooted = net.rooted_at_terminal(root);
     let n = net.topology.vertex_count();
     if cache.sets.len() != n {
@@ -952,7 +1006,7 @@ impl Solver<'_> {
         self.stats.max_segments = self.stats.max_segments.max(segs);
         FuncPoint::new(
             Meta { trace, parity },
-            vec![cost, cap, d_sinks],
+            [cost, cap, d_sinks],
             vec![arrival, diameter],
         )
     }

@@ -336,6 +336,10 @@ pub enum MsriError {
     NoFeasiblePair,
     /// An inverting repeater was used but `allow_inverting` is off.
     InvertingDisallowed,
+    /// The net's parasitics can overflow `f64`: the worst-case delay
+    /// bound (every resistance times the capacitance bound, plus every
+    /// intrinsic delay) is not finite.
+    Overflow,
 }
 
 impl fmt::Display for MsriError {
@@ -355,6 +359,10 @@ impl fmt::Display for MsriError {
             MsriError::InvertingDisallowed => {
                 write!(f, "library contains an inverting repeater but inverting repeaters are disabled")
             }
+            MsriError::Overflow => write!(
+                f,
+                "net parasitics overflow: a wire, driver or repeater value is too large for a finite delay"
+            ),
         }
     }
 }

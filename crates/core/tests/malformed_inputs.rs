@@ -1,7 +1,7 @@
 //! Malformed solve requests are typed errors, never panics: a root past
-//! the last terminal, driver menus built for a smaller net and an empty
-//! wire menu are each refused by every DP entry point with an
-//! [`MsriError`].
+//! the last terminal, driver menus built for a smaller net, an empty
+//! wire menu and parasitics that overflow `f64` are each refused by
+//! every DP entry point with an [`MsriError`].
 
 use msrnet_core::{
     optimize, optimize_in, optimize_incremental, optimize_with_wires, required_cap_bound, DpCache,
@@ -131,5 +131,39 @@ fn empty_wire_menu_is_a_typed_error() {
     assert_eq!(errs.len(), 2, "both wire-taking entry points ran");
     for (name, err) in errs {
         assert_eq!(err, MsriError::NoWireOptions, "{name}");
+    }
+}
+
+#[test]
+fn overflowing_parasitics_are_a_typed_error() {
+    // One finite but huge wire in an otherwise ordinary chain: its
+    // resistance times the net's capacitance overflows `f64`. In a debug
+    // build the DP would otherwise trip `Segment::new`'s `+∞` assert.
+    let mut b = NetBuilder::new(Technology::new(0.03, 0.00035));
+    let term = || Terminal::bidirectional(0.0, 0.0, 0.05, 180.0);
+    let t0 = b.terminal(Point::new(0.0, 0.0), term());
+    let ip = b.insertion_point(Point::new(1000.0, 0.0));
+    let t1 = b.terminal(Point::new(2000.0, 0.0), term());
+    b.wire(t0, ip);
+    b.wire_with_length(ip, t1, 1e300);
+    let net = b.build().expect("finite lengths are valid").normalized();
+    let opts = TerminalOptions::defaults(&net);
+    let wide = [WireOption::unit(), WireOption::width("2W", 2.0, 0.0)];
+    for wires in [&[WireOption::unit()][..], &wide[..]] {
+        let errs = every_entry_point(&net, TerminalId(0), &opts, wires);
+        assert!(!errs.is_empty());
+        for (name, err) in errs {
+            assert_eq!(err, MsriError::Overflow, "{name}");
+            assert!(err.to_string().contains("overflow"), "{name}: {err}");
+        }
+    }
+    // A huge driver resistance overflows just the same.
+    let net = chain(3);
+    let mut opts = TerminalOptions::defaults(&net);
+    let mut strong = opts.for_terminal(TerminalId(1)).to_vec();
+    strong[0].drive_res = 1e308;
+    opts.set(TerminalId(1), strong);
+    for (name, err) in every_entry_point(&net, TerminalId(0), &opts, &[WireOption::unit()]) {
+        assert_eq!(err, MsriError::Overflow, "{name}");
     }
 }

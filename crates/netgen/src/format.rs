@@ -24,6 +24,8 @@
 //! * `wire` length defaults to the rectilinear distance of its
 //!   endpoints; `res_scale`/`cap_scale` carry wire-width scaling and
 //!   must not be negative.
+//! * Terminal `cap`/`res` and repeater `a2b`, `b2a`, `cap` and `cost`
+//!   values must not be negative either.
 //! * Names must be unique; wires refer to names.
 
 use std::collections::BTreeMap;
@@ -82,8 +84,9 @@ impl std::error::Error for ParseNetError {}
 ///
 /// Returns a [`ParseNetError`] naming the offending line for syntax
 /// problems, non-finite numbers, negative technology values, wire
-/// lengths or wire scales, unknown vertex references, duplicate names,
-/// or a net that fails validation.
+/// lengths, wire scales, terminal loads or drive resistances, negative
+/// repeater intrinsics, resistances, loads or costs, unknown vertex
+/// references, duplicate names, or a net that fails validation.
 pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
     let mut builder: Option<NetBuilder> = None;
     let mut ids: BTreeMap<String, VertexId> = BTreeMap::new();
@@ -133,12 +136,11 @@ pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
                         let term = Terminal {
                             arrival: opt_num(lineno, &kv, "arrival")?,
                             downstream: opt_num(lineno, &kv, "downstream")?,
-                            cap: req_num(lineno, &kv, "cap")?,
-                            drive_res: kv
-                                .get("res")
-                                .map(|v| parse_num(lineno, v))
-                                .transpose()?
-                                .unwrap_or(0.0),
+                            cap: non_negative(lineno, "cap", req_num(lineno, &kv, "cap")?)?,
+                            drive_res: match kv.get("res") {
+                                Some(v) => non_negative(lineno, "res", parse_num(lineno, v)?)?,
+                                None => 0.0,
+                            },
                             drive_intrinsic: kv
                                 .get("intrinsic")
                                 .map(|v| parse_num(lineno, v))
@@ -203,7 +205,7 @@ pub fn parse_net_file(text: &str) -> Result<NetFile, ParseNetError> {
                 let (a2b_int, a2b_res) = pair(lineno, &kv, "a2b")?;
                 let (b2a_int, b2a_res) = pair(lineno, &kv, "b2a")?;
                 let (cap_a, cap_b) = pair(lineno, &kv, "cap")?;
-                let cost = req_num(lineno, &kv, "cost")?;
+                let cost = non_negative(lineno, "cost", req_num(lineno, &kv, "cost")?)?;
                 let inverting = rest.contains(&"inverting");
                 let mut rep = Repeater {
                     name: name.to_owned(),
@@ -312,7 +314,19 @@ fn pair(
     let (a, b) = raw
         .split_once(',')
         .ok_or_else(|| ParseNetError::new(line, format!("`{key}` needs two comma-separated values")))?;
-    Ok((parse_num(line, a)?, parse_num(line, b)?))
+    let a = non_negative(line, key, parse_num(line, a)?)?;
+    let b = non_negative(line, key, parse_num(line, b)?)?;
+    Ok((a, b))
+}
+
+/// Refuses a negative electrical value (a capacitance, resistance,
+/// intrinsic delay or cost); `-0` counts as zero.
+fn non_negative(line: usize, key: &str, x: f64) -> Result<f64, ParseNetError> {
+    if x < 0.0 {
+        Err(ParseNetError::new(line, format!("negative `{key}` {x}")))
+    } else {
+        Ok(x)
+    }
 }
 
 /// Serializes a net and repeater library as `.msr` text.
@@ -540,6 +554,36 @@ repeater irep a2b=25,90 b2a=30,95 cap=0.025,0.03 cost=1 inverting
             (term("downstream=inf"), 2, "non-finite"),
             (term("res=NaN"), 2, "non-finite"),
             (format!("{HEAD}steiner s inf 0\n"), 2, "non-finite"),
+            (
+                format!("{HEAD}terminal a 0 0 cap=-1 res=1\n"),
+                2,
+                "negative `cap`",
+            ),
+            (
+                format!("{HEAD}terminal a 0 0 cap=-0.5\n"),
+                2,
+                "negative `cap`",
+            ),
+            (term("res=-180"), 2, "negative `res`"),
+            (rep("a2b=1,1 b2a=1,1 cap=1,1 cost=-2"), 5, "negative `cost`"),
+            (rep("a2b=1,1 b2a=1,1 cap=-1,1 cost=1"), 5, "negative `cap`"),
+            (
+                rep("a2b=1,1 b2a=1,1 cap=1,-0.1 cost=1"),
+                5,
+                "negative `cap`",
+            ),
+            (
+                rep("a2b=-50,180 b2a=1,1 cap=1,1 cost=1"),
+                5,
+                "negative `a2b`",
+            ),
+            (rep("a2b=1,-1 b2a=1,1 cap=1,1 cost=1"), 5, "negative `a2b`"),
+            (rep("a2b=1,1 b2a=-1,1 cap=1,1 cost=1"), 5, "negative `b2a`"),
+            (
+                rep("a2b=1,1 b2a=1,-180 cap=1,1 cost=1"),
+                5,
+                "negative `b2a`",
+            ),
         ];
         for (text, line, what) in cases {
             let err = parse_net_file(&text).expect_err(&text);
@@ -547,11 +591,13 @@ repeater irep a2b=25,90 b2a=30,95 cap=0.025,0.03 cost=1 inverting
             assert!(err.message.contains(what), "{text}: {err}");
             assert!(err.to_string().contains(&format!("line {line}:")), "{err}");
         }
-        // `-` is still the spelling of −∞, and zero scales stay legal.
+        // `-` is still the spelling of −∞, and zero scales and values
+        // (either sign of zero) stay legal.
         let ok = format!(
             "{HEAD}terminal a 0 0 cap=0.05 res=180 downstream=-\n\
-             terminal b 900 0 cap=0.05 arrival=-\n\
-             wire a b res_scale=0 cap_scale=-0\n"
+             terminal b 900 0 cap=-0 res=0 arrival=-\n\
+             wire a b res_scale=0 cap_scale=-0\n\
+             repeater r a2b=0,-0 b2a=-0,0 cap=0,-0 cost=-0\n"
         );
         let f = parse_net_file(&ok).expect("valid");
         assert_eq!(f.net.terminal(TerminalId(0)).downstream, f64::NEG_INFINITY);

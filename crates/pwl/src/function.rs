@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::interval::normalize_spans;
 use crate::{IntervalSet, Segment, EPS};
 
 /// A piece-wise linear function on a finite union of closed intervals.
@@ -63,19 +64,8 @@ impl Pwl {
     ///
     /// Panics (debug builds) if two segments overlap by more than [`EPS`].
     pub fn from_segments(mut segs: Vec<Segment>) -> Self {
-        segs.retain(|s| s.x1 >= s.x0);
-        segs.sort_by(|a, b| a.x0.total_cmp(&b.x0));
-        for w in segs.windows(2) {
-            debug_assert!(
-                w[1].x0 >= w[0].x1 - EPS,
-                "overlapping segments: {} and {}",
-                w[0],
-                w[1]
-            );
-        }
-        let mut pwl = Pwl { segs };
-        pwl.coalesce();
-        pwl
+        normalize_segments(&mut segs);
+        Pwl { segs }
     }
 
     /// The segments of the function, sorted by domain.
@@ -90,7 +80,16 @@ impl Pwl {
 
     /// The domain as an interval set.
     pub fn domain(&self) -> IntervalSet {
-        IntervalSet::from_spans(self.segs.iter().map(|s| (s.x0, s.x1)))
+        let mut spans = Vec::with_capacity(self.segs.len());
+        self.push_domain(&mut spans);
+        IntervalSet::from_raw(spans)
+    }
+
+    /// Appends the domain's normalized spans to `out`.
+    pub(crate) fn push_domain(&self, out: &mut Vec<(f64, f64)>) {
+        let start = out.len();
+        out.extend(self.segs.iter().map(|s| (s.x0, s.x1)));
+        normalize_spans(out, start);
     }
 
     /// Evaluates the function at `x`, or `None` if `x` is in a gap.
@@ -175,19 +174,17 @@ impl Pwl {
     #[must_use]
     pub fn restrict(&self, keep: &IntervalSet) -> Pwl {
         let mut segs = Vec::with_capacity(self.segs.len());
-        for &(lo, hi) in keep.spans() {
-            for s in &self.segs {
-                if s.x0 > hi {
-                    break;
-                }
-                if let Some(r) = s.restricted(lo, hi) {
-                    if r.x1 > r.x0 {
-                        segs.push(r);
-                    }
-                }
-            }
-        }
-        Pwl::from_segments(segs)
+        restrict_into(&self.segs, keep.spans(), &mut segs);
+        Pwl { segs }
+    }
+
+    /// [`Pwl::restrict`] inside this function's own buffer: the segments
+    /// are copied to `src`, and the restriction is written back over them.
+    pub(crate) fn restrict_in_place(&mut self, keep: &[(f64, f64)], src: &mut Vec<Segment>) {
+        src.clear();
+        src.extend_from_slice(&self.segs);
+        self.segs.clear();
+        restrict_into(src, keep, &mut self.segs);
     }
 
     /// Pointwise maximum (paper's *Max*; selects the critical source).
@@ -278,11 +275,18 @@ impl Pwl {
     /// of two solution characteristics.
     pub fn le_regions(&self, other: &Pwl) -> IntervalSet {
         let mut spans = Vec::new();
+        self.push_le_regions(other, &mut spans);
+        IntervalSet::from_raw(spans)
+    }
+
+    /// Appends the normalized spans of [`Pwl::le_regions`] to `out`.
+    pub(crate) fn push_le_regions(&self, other: &Pwl, out: &mut Vec<(f64, f64)>) {
+        let start = out.len();
         for (lo, hi, a, b) in zip_cells(self, other) {
             let ya0 = a.value_at(lo);
             let yb0 = b.value_at(lo);
             if ya0 == f64::NEG_INFINITY {
-                spans.push((lo, hi));
+                out.push((lo, hi));
                 continue;
             }
             if yb0 == f64::NEG_INFINITY {
@@ -292,7 +296,7 @@ impl Pwl {
             let ds = a.slope - b.slope;
             if ds.abs() <= EPS {
                 if dy0 <= EPS {
-                    spans.push((lo, hi));
+                    out.push((lo, hi));
                 }
             } else {
                 let x = lo - dy0 / ds;
@@ -300,17 +304,17 @@ impl Pwl {
                     // a − b increasing: a ≤ b for x ≤ crossing.
                     let end = x.min(hi);
                     if end >= lo {
-                        spans.push((lo, end));
+                        out.push((lo, end));
                     }
                 } else {
                     let start = x.max(lo);
                     if start <= hi {
-                        spans.push((start, hi));
+                        out.push((start, hi));
                     }
                 }
             }
         }
-        IntervalSet::from_spans(spans)
+        normalize_spans(out, start);
     }
 
     /// Smallest value attained over the whole domain, or `None` if empty.
@@ -384,6 +388,42 @@ impl Pwl {
         coalesce_in_place(&mut segs);
         Pwl { segs }
     }
+}
+
+/// Writes the restriction of `src` to the sorted, disjoint spans `keep`
+/// into the empty `out`, normalized: the one implementation behind
+/// [`Pwl::restrict`] and the MFS's in-place restriction.
+fn restrict_into(src: &[Segment], keep: &[(f64, f64)], out: &mut Vec<Segment>) {
+    for &(lo, hi) in keep {
+        for s in src {
+            if s.x0 > hi {
+                break;
+            }
+            if let Some(r) = s.restricted(lo, hi) {
+                if r.x1 > r.x0 {
+                    out.push(r);
+                }
+            }
+        }
+    }
+    normalize_segments(out);
+}
+
+/// Drops inverted segments, sorts by `x0`, validates disjointness (debug)
+/// and coalesces: the normalization behind [`Pwl::from_segments`] and
+/// [`Pwl::restrict`].
+fn normalize_segments(segs: &mut Vec<Segment>) {
+    segs.retain(|s| s.x1 >= s.x0);
+    segs.sort_by(|a, b| a.x0.total_cmp(&b.x0));
+    for w in segs.windows(2) {
+        debug_assert!(
+            w[1].x0 >= w[0].x1 - EPS,
+            "overlapping segments: {} and {}",
+            w[0],
+            w[1]
+        );
+    }
+    coalesce_in_place(segs);
 }
 
 /// Allocation-free coalesce: merges adjacent collinear segments (within

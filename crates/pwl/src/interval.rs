@@ -55,16 +55,21 @@ impl IntervalSet {
     /// Spans with `lo > hi` are dropped; overlapping or near-touching
     /// (within [`EPS`]) spans are merged.
     pub fn from_spans<I: IntoIterator<Item = (f64, f64)>>(spans: I) -> Self {
-        let mut v: Vec<(f64, f64)> = spans.into_iter().filter(|&(lo, hi)| lo <= hi).collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut out: Vec<(f64, f64)> = Vec::with_capacity(v.len());
-        for (lo, hi) in v {
-            match out.last_mut() {
-                Some(last) if lo <= last.1 + EPS => last.1 = last.1.max(hi),
-                _ => out.push((lo, hi)),
-            }
-        }
-        IntervalSet { spans: out }
+        let mut v: Vec<(f64, f64)> = spans.into_iter().collect();
+        normalize_spans(&mut v, 0);
+        IntervalSet { spans: v }
+    }
+
+    /// Wraps spans that are already sorted and disjoint.
+    pub(crate) fn from_raw(spans: Vec<(f64, f64)>) -> Self {
+        IntervalSet { spans }
+    }
+
+    /// Replaces the spans with `spans` (already sorted and disjoint),
+    /// keeping this set's allocation.
+    pub(crate) fn assign(&mut self, spans: &[(f64, f64)]) {
+        self.spans.clear();
+        self.spans.extend_from_slice(spans);
     }
 
     /// Whether the set is empty.
@@ -105,21 +110,7 @@ impl IntervalSet {
     /// Set intersection.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
         let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.spans.len() && j < other.spans.len() {
-            let (alo, ahi) = self.spans[i];
-            let (blo, bhi) = other.spans[j];
-            let lo = alo.max(blo);
-            let hi = ahi.min(bhi);
-            if lo <= hi {
-                out.push((lo, hi));
-            }
-            if ahi < bhi {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
+        intersect_spans(&self.spans, &other.spans, |s| out.push(s));
         IntervalSet { spans: out }
     }
 
@@ -128,30 +119,8 @@ impl IntervalSet {
     /// Removals thinner than [`EPS`] may leave degenerate slivers; slivers
     /// shorter than `EPS` are discarded so that pruning makes progress.
     pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        let mut j = 0;
-        for &(lo, hi) in &self.spans {
-            let mut cur = lo;
-            while j < other.spans.len() && other.spans[j].1 < cur {
-                j += 1;
-            }
-            let mut k = j;
-            while k < other.spans.len() && other.spans[k].0 <= hi {
-                let (blo, bhi) = other.spans[k];
-                if blo > cur {
-                    out.push((cur, blo.min(hi)));
-                }
-                cur = cur.max(bhi);
-                if cur >= hi {
-                    break;
-                }
-                k += 1;
-            }
-            if cur < hi {
-                out.push((cur, hi));
-            }
-        }
-        out.retain(|&(lo, hi)| hi - lo > EPS);
+        let mut out = Vec::new();
+        subtract_spans(&self.spans, &other.spans, |s| out.push(s));
         IntervalSet { spans: out }
     }
 
@@ -165,6 +134,102 @@ impl IntervalSet {
     /// Clamps the set to `[lo, hi]`.
     pub fn clamp(&self, lo: f64, hi: f64) -> IntervalSet {
         self.intersect(&IntervalSet::from_interval(lo, hi))
+    }
+}
+
+/// Normalizes `v[start..]` in place into sorted, disjoint spans and
+/// truncates `v` to fit: drops spans with `lo > hi`, sorts by lower
+/// endpoint and merges overlapping or near-touching (within [`EPS`])
+/// spans. The one implementation behind [`IntervalSet::from_spans`],
+/// [`crate::Pwl::domain`] and [`crate::Pwl::le_regions`]; the MFS runs it
+/// on the tail of a scratch buffer.
+pub(crate) fn normalize_spans(v: &mut Vec<(f64, f64)>, start: usize) {
+    let Some(tail) = v.get_mut(start..) else {
+        return;
+    };
+    let mut kept = 0usize;
+    for r in 0..tail.len() {
+        let Some(&(lo, hi)) = tail.get(r) else { break };
+        if lo <= hi {
+            if let Some(slot) = tail.get_mut(kept) {
+                *slot = (lo, hi);
+            }
+            kept += 1;
+        }
+    }
+    let Some(kept) = tail.get_mut(..kept) else {
+        return;
+    };
+    kept.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut w = 0usize;
+    for r in 0..kept.len() {
+        let Some(&(lo, hi)) = kept.get(r) else { break };
+        match w.checked_sub(1).and_then(|last| kept.get_mut(last)) {
+            Some(last) if lo <= last.1 + EPS => last.1 = last.1.max(hi),
+            _ => {
+                if let Some(slot) = kept.get_mut(w) {
+                    *slot = (lo, hi);
+                }
+                w += 1;
+            }
+        }
+    }
+    v.truncate(start + w);
+}
+
+/// Emits the intersection of two sorted, disjoint span lists, in order.
+/// The one implementation behind [`IntervalSet::intersect`] and the MFS
+/// scratch path.
+pub(crate) fn intersect_spans(
+    a: &[(f64, f64)],
+    b: &[(f64, f64)],
+    mut emit: impl FnMut((f64, f64)),
+) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(alo, ahi)), Some(&(blo, bhi))) = (a.get(i), b.get(j)) {
+        let lo = alo.max(blo);
+        let hi = ahi.min(bhi);
+        if lo <= hi {
+            emit((lo, hi));
+        }
+        if ahi < bhi {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+}
+
+/// Emits the difference `a \ b` of two sorted, disjoint span lists, in
+/// order, skipping slivers no longer than [`EPS`]. The one
+/// implementation behind [`IntervalSet::subtract`] and the MFS scratch
+/// path.
+pub(crate) fn subtract_spans(a: &[(f64, f64)], b: &[(f64, f64)], mut emit: impl FnMut((f64, f64))) {
+    let mut keep = |lo: f64, hi: f64| {
+        if hi - lo > EPS {
+            emit((lo, hi));
+        }
+    };
+    let mut j = 0;
+    for &(lo, hi) in a {
+        let mut cur = lo;
+        while b.get(j).is_some_and(|s| s.1 < cur) {
+            j += 1;
+        }
+        let mut k = j;
+        while let Some(&(blo, bhi)) = b.get(k).filter(|s| s.0 <= hi) {
+            if blo > cur {
+                keep(cur, blo.min(hi));
+            }
+            cur = cur.max(bhi);
+            if cur >= hi {
+                break;
+            }
+            k += 1;
+        }
+        if cur < hi {
+            keep(cur, hi);
+        }
     }
 }
 

@@ -226,11 +226,11 @@ fn mfs_preserves_coverage() {
         // Build candidates with a cost scalar and one PWL; MFS must keep,
         // for every (x, candidate), a survivor at least as good.
         let n = rng.gen_range(2..12usize);
-        let originals: Vec<FuncPoint<usize>> = (0..n)
+        let originals: Vec<FuncPoint<usize, 1>> = (0..n)
             .map(|i| {
                 let cost = rng.gen_range(0..5i32) as f64;
                 let pwl = arb_pwl(&mut rng, 4);
-                FuncPoint::new(i, vec![cost], vec![pwl])
+                FuncPoint::new(i, [cost], vec![pwl])
             })
             .collect();
         let kept_naive = mfs_naive(originals.clone());
@@ -251,7 +251,7 @@ fn mfs_preserves_coverage() {
         // Both algorithms achieve the same pointwise optimum per cost.
         for x in samples() {
             for budget in 0..5 {
-                let best = |kept: &[FuncPoint<usize>]| {
+                let best = |kept: &[FuncPoint<usize, 1>]| {
                     kept.iter()
                         .filter(|k| k.scalars[0] <= budget as f64 && k.domain().contains(x))
                         .filter_map(|k| k.pwls[0].eval(x))
