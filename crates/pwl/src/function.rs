@@ -78,14 +78,8 @@ impl Pwl {
         self.segs.is_empty()
     }
 
-    /// The domain as an interval set.
-    pub fn domain(&self) -> IntervalSet {
-        let mut spans = Vec::with_capacity(self.segs.len());
-        self.push_domain(&mut spans);
-        IntervalSet::from_raw(spans)
-    }
-
-    /// Appends the domain's normalized spans to `out`.
+    /// Appends the domain's normalized spans (sorted, disjoint, merged
+    /// within [`EPS`]) to `out`.
     pub(crate) fn push_domain(&self, out: &mut Vec<(f64, f64)>) {
         let start = out.len();
         out.extend(self.segs.iter().map(|s| (s.x0, s.x1)));

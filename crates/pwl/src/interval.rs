@@ -141,8 +141,8 @@ impl IntervalSet {
 /// truncates `v` to fit: drops spans with `lo > hi`, sorts by lower
 /// endpoint and merges overlapping or near-touching (within [`EPS`])
 /// spans. The one implementation behind [`IntervalSet::from_spans`],
-/// [`crate::Pwl::domain`] and [`crate::Pwl::le_regions`]; the MFS runs it
-/// on the tail of a scratch buffer.
+/// [`crate::Pwl::le_regions`] and the MFS's validity domains, which run
+/// it on the tail of a scratch buffer.
 pub(crate) fn normalize_spans(v: &mut Vec<(f64, f64)>, start: usize) {
     let Some(tail) = v.get_mut(start..) else {
         return;
